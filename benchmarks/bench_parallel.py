@@ -2,7 +2,7 @@
 
 Asserts the two claims the engine makes, on an Exp-1-sized instance
 (the paper's tuple scale-up axis, grown to where per-level work
-dominates process dispatch):
+dominates dispatch overhead):
 
 1. **Byte-identical results** — the FD and OCD sets of every parallel
    configuration equal the ``workers=1`` serial run's, string for
@@ -11,19 +11,20 @@ dominates process dispatch):
    EITHER clears the gate (the same dual-gate precedent as
    ``bench_partition_kernels.py``):
 
-   * **wall clock**: a real 4-worker run against the serial run.
-     Honest only with >= 4 idle cores, so it is reported always but
-     can only *pass* hardware that has them.
+   * **wall clock**: a real run on a 4-thread pool against the serial
+     run.  Honest only with >= 4 idle cores, so it is reported always
+     but can only *pass* hardware that has them.
    * **work-distribution projection** (hardware-independent): the same
-     4-worker sharding is executed through a *single* uncontended
-     worker process (``n_chunks_per_dispatch`` keeps the chunk
-     granularity of a 4-worker pool), giving per-chunk CPU costs free
-     of time-slicing interference.  The projected 4-worker wall clock
-     is then ``run_wall - Σ chunk_busy + Σ LPT-makespan(chunks, 4)``:
+     4-worker sharding is executed on a *single* uncontended pool
+     thread (``n_chunks_per_dispatch`` keeps the chunk granularity of
+     a 4-thread pool), giving per-chunk thread-CPU costs free of
+     time-slicing interference.  The projected 4-worker wall clock is
+     then ``run_wall - Σ chunk_busy + Σ LPT-makespan(chunks, 4)``:
      everything the coordinator did stays serial, and each dispatch's
      chunks are placed on 4 workers by longest-processing-time-first.
-     This is exactly the quantity a 4-core machine's wall clock
-     converges to, measurable on a 1-core CI box.
+     This is the quantity a 4-core machine's wall clock converges to
+     when the kernels release the GIL, measurable on a 1-core CI
+     box.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_parallel.py``.
 Emits ``BENCH_parallel.json`` at the repo root via the harness and the
@@ -62,8 +63,8 @@ def od_strings(result: DiscoveryResult) -> Tuple[List[str], List[str]]:
 
 def lpt_makespan(chunks: Sequence[float], k: int) -> float:
     """Longest-processing-time-first makespan of ``chunks`` on ``k``
-    workers — the classic 4/3-approximation, matching the pool's
-    greedy consumption of queued chunks."""
+    workers — the classic 4/3-approximation, matching the pool
+    threads' greedy consumption of queued chunks."""
     loads = [0.0] * k
     for chunk in sorted(chunks, reverse=True):
         loads[loads.index(min(loads))] += chunk
@@ -112,8 +113,8 @@ def main() -> int:
                           else f"{wall_speedup:.2f}x"),
                  identical="yes" if wall_identical else "NO")
 
-    # work-distribution projection: 4-worker sharding through one
-    # uncontended worker, chunks LPT-placed on 4 virtual workers
+    # work-distribution projection: 4-worker sharding on one
+    # uncontended pool thread, chunks LPT-placed on 4 virtual workers
     projected_identical = True
     projected_seconds = None
     busy = makespan = 0.0

@@ -22,13 +22,12 @@ stdout stays the machine-parseable result either way.
 Run ``repro-od <subcommand> --help`` for details.
 
 Long-running commands (``watch``, ``serve``) exit cleanly on SIGINT
-*and* SIGTERM: worker pools, shared-memory segments, and the job
-journal are torn down in the command's ``finally`` path and the
-process exits with the conventional code — 130 (128+SIGINT) or 143
-(128+SIGTERM) — never leaving orphan workers or leaked segments
-behind.  SIGTERM is what process supervisors (systemd, Docker,
-Kubernetes) send first, so a supervised ``repro-od serve`` drains
-gracefully on shutdown instead of being killed dirty.
+*and* SIGTERM: worker pools and the job journal are torn down in the
+command's ``finally`` path and the process exits with the conventional
+code — 130 (128+SIGINT) or 143 (128+SIGTERM).  SIGTERM is what process
+supervisors (systemd, Docker, Kubernetes) send first, so a supervised
+``repro-od serve`` drains gracefully on shutdown instead of being
+killed dirty.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "partitions (LRU); default keeps all")
     discover.add_argument("--workers", type=int, default=None, metavar="N",
                           help="shard level-wise products and validation "
-                               "scans over N worker processes (default: "
+                               "scans over N worker threads (default: "
                                "$REPRO_WORKERS or 1 = serial; results "
                                "are identical either way)")
     _add_kernels_option(discover)
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "from-scratch FASTOD run")
     append.add_argument("--workers", type=int, default=None, metavar="N",
                         help="shard big append-path validation scans "
-                             "over N worker processes (default: "
+                             "over N worker threads (default: "
                              "$REPRO_WORKERS or 1 = serial)")
     append.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--cache-max-entries", type=int, default=None)
     check.add_argument("--workers", type=int, default=None, metavar="N",
                        help="shard big validation scans by context class "
-                            "over N worker processes")
+                            "over N worker threads")
     _add_kernels_option(check)
     _add_profile_option(check)
 
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     violations.add_argument("--workers", type=int, default=None,
                             metavar="N",
                             help="shard big validation scans by context "
-                                 "class over N worker processes")
+                                 "class over N worker threads")
     _add_kernels_option(violations)
     _add_profile_option(violations)
 
@@ -456,7 +455,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         # runs on SIGINT/SIGTERM too (both propagate through
         # serve_forever as exceptions): drain jobs, shut the shared
-        # pool down, unlink every shm segment, close the journal
+        # pool down, close the journal
         service.close()
     return 0
 
@@ -570,8 +569,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     store = snap["store"]
     print(f"uptime: {snap['uptime_seconds']:.1f}s")
     print(f"scheduler: jobs={scheduler['jobs']} "
-          f"queued={scheduler['queued']} "
-          f"degraded={scheduler['degraded']}")
+          f"queued={scheduler['queued']}")
     print(f"catalog: entries={catalog['entries']} "
           f"resident_bytes={catalog['resident_bytes']} "
           f"evictions={catalog['evictions']}")
@@ -698,9 +696,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # one SIGINT contract for every long-running command: the
         # interrupted command's finally blocks have already torn down
-        # engines/pools/servers (no orphan workers, no leaked shm),
-        # so all that is left is the final metrics breadcrumb and the
-        # conventional exit status
+        # engines/pools/servers, so all that is left is the final
+        # metrics breadcrumb and the conventional exit status
         if long_running:
             _dump_final_metrics()
         print("interrupted", file=sys.stderr)

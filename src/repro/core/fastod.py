@@ -23,9 +23,9 @@ optional :class:`~repro.partitions.cache.PartitionCache`, and an
 executor together, then runs the shared planner.
 
 Since the nodes of one level are independent, the per-level work also
-shards across processes: with ``FastODConfig(workers=N)`` (or
+shards across threads: with ``FastODConfig(workers=N)`` (or
 ``REPRO_WORKERS``), partition products and OCD swap scans run on a
-shared-memory :class:`repro.parallel.WorkerPool` through the engine's
+:class:`repro.parallel.WorkerPool` of threads through the engine's
 :class:`~repro.engine.PoolExecutor`, while the planner keeps every
 candidate-set mutation (``cc``/``cs`` updates, Algorithm 4 pruning)
 serial and applies worker verdicts in deterministic task order — so
@@ -73,10 +73,10 @@ class FastODConfig:
         ``timed_out=True``.  One :class:`~repro.engine.DeadlineBudget`
         is shared by every layer: it is checked between lattice nodes,
         between the FD and OCD phases of a level, between individual
-        validation scans, and cooperatively inside parallel workers —
+        validation scans, and cooperatively inside pool chunks —
         so one huge node cannot overshoot the budget by a whole level.
     workers:
-        Size of the shared-memory worker pool for level-wise products
+        Size of the worker thread pool for level-wise products
         and validation scans.  ``None`` defers to the
         ``REPRO_WORKERS`` environment variable; 1 (the default
         resolution) runs fully serial.  Results are byte-identical

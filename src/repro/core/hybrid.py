@@ -25,8 +25,8 @@ Escalation waves run through the unified engine
 (:mod:`repro.engine`): each wave's masks are mutually independent, so
 one ``run_validations`` batch resolves them — serially below the
 :data:`~repro.parallel.PARALLEL_MIN_ROWS` threshold, sharded over a
-shared-memory worker pool otherwise (worker-local partition caches
-over the shared rank columns).  The output is identical at any worker
+worker thread pool otherwise (per-thread partition caches over the
+rank columns).  The output is identical at any worker
 count.  One :class:`~repro.engine.DeadlineBudget` covers the whole
 run: it is consulted *between* waves and propagated into each wave's
 dispatch, so a timeout never has to wait for the next full wave to

@@ -254,10 +254,10 @@ def _single_lhs_dominance(left: np.ndarray, right: np.ndarray) -> bool:
 def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
                  b: int, context: Optional[StrippedPartition]) -> bool:
     """One executor scan-task verdict — the single mode dispatch shared
-    by the coordinator-side kernels (:mod:`repro.engine.executors`)
-    and the worker-side handler (:mod:`repro.parallel.pool`), so a new
-    or mistyped mode fails loudly on *both* paths instead of silently
-    resolving differently per worker count.
+    by the serial executor (:mod:`repro.engine.executors`) and the
+    pool threads (:mod:`repro.parallel.pool`), so a new or mistyped
+    mode fails loudly on *both* paths instead of silently resolving
+    differently per worker count.
 
     Modes: ``"swap"``, ``"const"``, ``"swap_desc"`` (descending right
     column under rank encoding), ``"pointwise"`` (``a`` is an LHS
@@ -347,7 +347,7 @@ class CanonicalValidator:
     ``workers`` > 1 (or ``REPRO_WORKERS``) routes big validation scans
     through the unified engine's pooled executor
     (:class:`repro.engine.PoolExecutor`), which shards them by context
-    class over a shared-memory worker pool — worthwhile for
+    class over a worker thread pool — worthwhile for
     single-dependency checks on tall relations, where one scan is the
     whole workload.  Verdicts are identical at any worker count; the
     pool spins up lazily and only for scans past the size threshold.

@@ -54,8 +54,13 @@ def _extend(columns: Dict[str, np.ndarray], n_attrs: int, n_rows: int,
             step = int(rng.integers(2, 9))
             columns[f"mono{index}"] = key // step
         elif kind == 2:
-            source = columns[names[int(rng.integers(0, len(names)))]]
+            source = np.asarray(
+                columns[names[int(rng.integers(0, len(names)))]])
             prime = int(rng.choice([7, 11, 13, 17, 19]))
+            if source.dtype.kind not in "biuf":
+                # a string source (ncvoter's county_name): derive from
+                # its dense codes, so the column is still an FD of it
+                source = np.unique(source, return_inverse=True)[1]
             columns[f"drv{index}"] = (source * prime + 3) % 23
         else:
             columns[f"num{index}"] = rng.integers(0, n_rows, n_rows)

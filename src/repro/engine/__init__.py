@@ -8,8 +8,8 @@ window, emitting typed tasks (:class:`ProductTask`,
 executors (:class:`SerialExecutor`, :class:`PoolExecutor`) decide where
 those tasks run; and one :class:`DeadlineBudget` per run is consulted
 by every layer.  The from-scratch, hybrid, incremental, validator, and
-extension entry points all consume this engine — a new backend (async,
-distributed) is a new executor, not another traversal fork.
+extension entry points all consume this engine — a new backend is a
+new executor, not another traversal fork.
 """
 
 from repro.engine.budget import DeadlineBudget

@@ -10,22 +10,24 @@ implementations ship:
 * :class:`SerialExecutor` runs every kernel inline on the coordinator,
   consulting the :class:`~repro.engine.budget.DeadlineBudget` between
   tasks — the exact cadence the pre-engine serial fallbacks used.
-* :class:`PoolExecutor` wraps a shared-memory
-  :class:`~repro.parallel.WorkerPool` and keeps the historical
-  serial-fallback policy in one place: a dispatch only leaves the
-  coordinator when it has at least two tasks and enough grouped rows
-  (or relation rows, for mask-derived validations) to amortize process
-  dispatch.  Sub-threshold batches fall through to an internal
-  :class:`SerialExecutor` that shares the same telemetry.
+* :class:`PoolExecutor` wraps a :class:`~repro.parallel.WorkerPool`
+  of threads and keeps the serial-fallback policy in one place: a
+  dispatch only leaves the coordinator when it has at least two tasks
+  and enough grouped rows (or relation rows, for mask-derived
+  validations) to amortize the dispatch.  Sub-threshold batches fall
+  through to an internal :class:`SerialExecutor` that shares the same
+  telemetry, and so do the unfinished tasks of a dispatch in which a
+  chunk failed.
 
-Every future backend (async, distributed) is a third implementation of
-this protocol — not another traversal fork.
+Any future backend is a third implementation of this protocol — not
+another traversal fork.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 import repro.parallel.pool as pool_module
 from repro import kernels
@@ -39,18 +41,6 @@ from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 
-#: Crashed dispatches tolerated per batch before the remaining tasks
-#: are quarantined to the serial path: the first crash rebuilds the
-#: pool and re-runs only unacknowledged tasks, a second crash on the
-#: same batch stops trusting the pool with it (poison-task
-#: quarantine — the serial kernels never touch the failure surface).
-MAX_DISPATCH_CRASHES = 2
-
-#: Capped exponential backoff between a crash and the rebuilt pool's
-#: retry dispatch (seconds): base * 2^(crash-1), capped.
-RETRY_BACKOFF_BASE = 0.05
-RETRY_BACKOFF_CAP = 1.0
-
 #: ``(key, context_key, mode, a, b)`` — a scan against a published
 #: context partition.  Modes: ``"swap"``, ``"const"``, ``"swap_desc"``
 #: (descending right column), ``"pointwise"`` (``a`` is an LHS bitmask,
@@ -58,7 +48,7 @@ RETRY_BACKOFF_CAP = 1.0
 ScanTask = Tuple[Hashable, Hashable, str, int, int]
 
 #: ``(key, context_mask, mode, a, b)`` — a scan whose context partition
-#: the executor derives itself (worker-local caches on the pool path).
+#: the executor derives itself (per-thread caches on the pool path).
 ValidationTask = Tuple[Hashable, int, str, int, int]
 
 
@@ -184,15 +174,18 @@ class SerialExecutor:
 
 
 class PoolExecutor:
-    """Shards big task batches over a shared-memory worker pool.
+    """Shards big task batches over a thread :class:`WorkerPool`.
 
     The pool starts lazily on the first dispatch that crosses the
     serial-fallback thresholds; ``min_grouped_rows`` / ``min_rows``
     default to the package thresholds *read at dispatch time* (so tests
     and benchmarks can retune :mod:`repro.parallel.pool` globals).  An
     injected ``pool`` is reused and never shut down by :meth:`close`;
-    an owned pool is torn down there (and rebuilt on the next dispatch
-    after a crash-path shutdown).
+    an owned pool is shut down there.
+
+    When a chunk fails, the acknowledged results of the dispatch are
+    kept, the rest of the batch re-runs on the serial path, and the
+    telemetry counts one retry and marks the executor degraded.
     """
 
     name = "pool"
@@ -201,7 +194,6 @@ class PoolExecutor:
                  pool: Optional[WorkerPool] = None,
                  min_grouped_rows: Optional[int] = None,
                  min_rows: Optional[int] = None,
-                 stall_timeout: Optional[float] = None,
                  kernel_backend: Optional[str] = None):
         if workers < 2:
             raise ValueError("PoolExecutor needs workers >= 2; use "
@@ -212,11 +204,9 @@ class PoolExecutor:
         self._owned: Optional[WorkerPool] = None
         self._min_grouped_rows = min_grouped_rows
         self._min_rows = min_rows
-        self.stall_timeout = stall_timeout
         #: kernels backend the batches (pooled chunks *and* the serial
         #: fallback) run under; ``None`` defers to the process default
         self.kernel_backend = kernel_backend
-        self._rebuild_pending = False
         self.telemetry = ExecutorTelemetry("pool", workers)
         self._serial = SerialExecutor(relation, telemetry=self.telemetry,
                                       kernel_backend=kernel_backend)
@@ -242,10 +232,9 @@ class PoolExecutor:
             return
         self._relation = relation
         self._serial.rebase(relation)
-        if self._injected is not None and not self._injected.closed:
-            self._injected.rebase(relation)
-        if self._owned is not None and not self._owned.closed:
-            self._owned.rebase(relation)
+        for pool in (self._injected, self._owned):
+            if pool is not None:
+                pool.rebase(relation)
 
     def close(self) -> None:
         """Shut down the owned pool, if one was started; injected pools
@@ -263,52 +252,45 @@ class PoolExecutor:
     def _pool(self) -> WorkerPool:
         if self._injected is not None:
             return self._injected
-        if self._owned is not None and self._owned.closed:
-            self._owned = None          # crashed earlier: rebuild
-            self._rebuild_pending = True
         if self._owned is None:
             self._owned = WorkerPool(self._relation, self.workers,
-                                     stall_timeout=self.stall_timeout,
                                      kernel_backend=self.kernel_backend)
-            if self._rebuild_pending:
-                self.telemetry.record_rebuild()
-                self._rebuild_pending = False
         return self._owned
 
-    # -- crash recovery -------------------------------------------------
-    def _recover(self, crashes: int, will_retry: bool) -> None:
-        """Account for one crashed dispatch and prepare the retry.
-
-        A crashed owned pool tore itself down already (``closed``);
-        :meth:`_pool` rebuilds it on the next dispatch.  A crashed
-        *injected* pool belongs to the caller but is equally unusable,
-        so it is dropped here and replaced by an owned rebuild.  The
-        backoff sleep only happens when another pool attempt follows —
-        quarantined batches go serial immediately.
-        """
+    def _note_failure(self, phase: str, rerun: int) -> None:
+        """Bill a failed dispatch whose ``rerun`` unfinished tasks go
+        to the serial path."""
         self.telemetry.record_retry()
-        # one structured line per crashed dispatch; emitted inside the
-        # job's span context, so it carries trace_id/span_id and joins
-        # against /jobs/{id}/trace
-        events.emit("executor.dispatch_crashed", crashes=crashes,
-                    retry=will_retry, workers=self.workers)
-        if self._injected is not None and self._injected.closed:
-            self._injected = None
-            self._rebuild_pending = True
-        if will_retry:
-            time.sleep(min(RETRY_BACKOFF_BASE * (2 ** (crashes - 1)),
-                           RETRY_BACKOFF_CAP))
+        self.telemetry.mark_degraded()
+        # emitted inside the job's span context, so the line carries
+        # trace_id/span_id and joins /jobs/{id}/trace
+        events.emit("executor.dispatch_failed", phase=phase,
+                    rerun=rerun, workers=self.workers)
 
-    @staticmethod
-    def _harvest(error: PoolDispatchError) -> Dict[Hashable, bool]:
-        """Verdicts acknowledged before the crash (partial results ride
-        the result queue; product outputs live in the torn-down shm
-        block, so product batches re-run whole and harvest nothing)."""
-        verdicts: Dict[Hashable, bool] = {}
-        for payload in error.partial_results:
-            for key, verdict in payload.get("verdicts", ()):
-                verdicts[key] = verdict
-        return verdicts
+    def _pooled(self, phase: str, tasks: Sequence, key: Callable,
+                dispatch: Callable, rerun: Callable
+                ) -> Tuple[Dict, bool]:
+        """Run one batch on the pool (``dispatch(pool)``).  If a chunk
+        fails, keep what the other chunks finished and re-run the
+        remaining tasks serially (``rerun(tasks)``)."""
+        started = time.perf_counter()
+        try:
+            with kernels.activate(self.kernel_backend):
+                results, timed_out = dispatch(self._pool())
+        except PoolDispatchError as error:
+            results = {}
+            for chunk in error.partial_results:
+                results.update(chunk["results"])
+            remaining: List = [t for t in tasks if key(t) not in results]
+            self._note_failure(phase, len(remaining))
+            self.telemetry.record(phase, len(results), True,
+                                  time.perf_counter() - started)
+            serial_results, timed_out = rerun(remaining)
+            results.update(serial_results)
+            return results, timed_out
+        self.telemetry.record(phase, len(results), True,
+                              time.perf_counter() - started)
+        return results, timed_out
 
     # -- task batches ---------------------------------------------------
     def run_products(self, parents: Dict[int, StrippedPartition],
@@ -319,21 +301,10 @@ class PoolExecutor:
         if len(tasks) < 2 or grouped_rows < self.grouped_rows_threshold:
             return self._serial.run_products(parents, tasks, budget)
         triples = [(t.child, t.left, t.right) for t in tasks]
-        started = time.perf_counter()
-        crashes = 0
-        while crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    products, timed_out = self._pool().run_products(
-                        parents, triples, budget.deadline)
-                self.telemetry.record("products", len(products), True,
-                                      time.perf_counter() - started)
-                return products, timed_out
-            except PoolDispatchError:
-                crashes += 1
-                self._recover(crashes, crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.mark_degraded()
-        return self._serial.run_products(parents, tasks, budget)
+        return self._pooled(
+            "products", tasks, lambda task: task.child,
+            lambda pool: pool.run_products(parents, triples, budget),
+            lambda rest: self._serial.run_products(parents, rest, budget))
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
                   tasks: Sequence[ScanTask], budget: DeadlineBudget,
@@ -342,35 +313,11 @@ class PoolExecutor:
         grouped_rows = sum(len(p.rows) for p in contexts.values())
         if len(tasks) < 2 or grouped_rows < self.grouped_rows_threshold:
             return self._serial.run_scans(contexts, tasks, budget, phase)
-        verdicts: Dict[Hashable, bool] = {}
-        remaining = list(tasks)
-        started = time.perf_counter()
-        crashes = 0
-        timed_out = False
-        while remaining and crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    got, timed_out = self._pool().run_scans(
-                        contexts, remaining, budget.deadline)
-                verdicts.update(got)
-                self.telemetry.record(phase, len(verdicts), True,
-                                      time.perf_counter() - started)
-                return verdicts, timed_out
-            except PoolDispatchError as error:
-                verdicts.update(self._harvest(error))
-                remaining = [t for t in remaining if t[0] not in verdicts]
-                crashes += 1
-                self._recover(crashes,
-                              bool(remaining)
-                              and crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.record(phase, len(verdicts), True,
-                              time.perf_counter() - started)
-        if remaining:
-            self.telemetry.mark_degraded()
-            serial_verdicts, timed_out = self._serial.run_scans(
-                contexts, remaining, budget, phase)
-            verdicts.update(serial_verdicts)
-        return verdicts, timed_out
+        return self._pooled(
+            phase, tasks, lambda task: task[0],
+            lambda pool: pool.run_scans(contexts, tasks, budget),
+            lambda rest: self._serial.run_scans(contexts, rest, budget,
+                                                phase))
 
     def run_validations(self, tasks: Sequence[ValidationTask],
                         budget: DeadlineBudget, phase: str = "wave"
@@ -378,35 +325,11 @@ class PoolExecutor:
         if (len(tasks) < 2
                 or self._relation.n_rows < self.rows_threshold):
             return self._serial.run_validations(tasks, budget, phase)
-        verdicts: Dict[Hashable, bool] = {}
-        remaining = list(tasks)
-        started = time.perf_counter()
-        crashes = 0
-        timed_out = False
-        while remaining and crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    got, timed_out = self._pool().run_validations(
-                        remaining, budget.deadline)
-                verdicts.update(got)
-                self.telemetry.record(phase, len(verdicts), True,
-                                      time.perf_counter() - started)
-                return verdicts, timed_out
-            except PoolDispatchError as error:
-                verdicts.update(self._harvest(error))
-                remaining = [t for t in remaining if t[0] not in verdicts]
-                crashes += 1
-                self._recover(crashes,
-                              bool(remaining)
-                              and crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.record(phase, len(verdicts), True,
-                              time.perf_counter() - started)
-        if remaining:
-            self.telemetry.mark_degraded()
-            serial_verdicts, timed_out = self._serial.run_validations(
-                remaining, budget, phase)
-            verdicts.update(serial_verdicts)
-        return verdicts, timed_out
+        return self._pooled(
+            phase, tasks, lambda task: task[0],
+            lambda pool: pool.run_validations(tasks, budget),
+            lambda rest: self._serial.run_validations(rest, budget,
+                                                      phase))
 
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
@@ -415,20 +338,16 @@ class PoolExecutor:
                 or mode == "pointwise"):
             return self._serial.scan_partition(mode, a, b, partition)
         started = time.perf_counter()
-        crashes = 0
-        while crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    verdict, _ = self._pool().run_class_scan(
-                        mode, a, b, partition)
-                self.telemetry.record("class-scan", 1, True,
-                                      time.perf_counter() - started)
-                return verdict
-            except PoolDispatchError:
-                crashes += 1
-                self._recover(crashes, crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.mark_degraded()
-        return self._serial.scan_partition(mode, a, b, partition)
+        try:
+            with kernels.activate(self.kernel_backend):
+                verdict, _ = self._pool().run_class_scan(
+                    mode, a, b, partition)
+        except PoolDispatchError:
+            self._note_failure("class-scan", 1)
+            return self._serial.scan_partition(mode, a, b, partition)
+        self.telemetry.record("class-scan", 1, True,
+                              time.perf_counter() - started)
+        return verdict
 
 
 class Executor(Protocol):
@@ -436,7 +355,7 @@ class Executor(Protocol):
 
     Structural (``typing.Protocol``): :class:`SerialExecutor` and
     :class:`PoolExecutor` satisfy it without inheriting, and a future
-    backend (async, distributed) only needs these methods."""
+    backend only needs these methods."""
 
     telemetry: ExecutorTelemetry
 
@@ -470,12 +389,11 @@ def make_executor(relation: EncodedRelation,
                   pool: Optional[WorkerPool] = None,
                   min_grouped_rows: Optional[int] = None,
                   min_rows: Optional[int] = None,
-                  stall_timeout: Optional[float] = None,
                   kernel_backend: Optional[str] = None):
     """The one place the serial-vs-pool decision is made.
 
     An explicit ``workers`` wins (the benchmark's projection mode
-    drives 4-worker sharding through an injected 1-process pool);
+    drives 4-worker sharding through an injected 1-thread pool);
     otherwise an injected pool sets the effective parallelism;
     otherwise ``REPRO_WORKERS`` / serial via
     :func:`repro.parallel.resolve_workers`.  Fewer than two effective
@@ -483,8 +401,8 @@ def make_executor(relation: EncodedRelation,
     injected — mirroring the historical ``FastOD`` gate.
 
     ``kernel_backend`` picks the :mod:`repro.kernels` backend the
-    executor's batches run under (threaded to pool workers through the
-    task payloads); ``None`` defers to ``REPRO_KERNELS``/auto.
+    executor's batches run under (pool threads activate it around each
+    chunk); ``None`` defers to ``REPRO_KERNELS``/auto.
     """
     if workers is None and pool is not None:
         effective = pool.workers
@@ -495,7 +413,6 @@ def make_executor(relation: EncodedRelation,
     return PoolExecutor(relation, effective, pool=pool,
                         min_grouped_rows=min_grouped_rows,
                         min_rows=min_rows,
-                        stall_timeout=stall_timeout,
                         kernel_backend=kernel_backend)
 
 

@@ -11,7 +11,7 @@ building blocks:
   through the unified engine (:mod:`repro.engine`): each level's
   constancy and polarity checks are independent, so they batch into
   executor validations — serial by default, sharded over a
-  shared-memory worker pool with ``workers`` (the ``"swap_desc"``
+  worker thread pool with ``workers`` (the ``"swap_desc"``
   scan mode), and bounded by a shared
   :class:`~repro.engine.DeadlineBudget` via ``timeout_seconds``.
 

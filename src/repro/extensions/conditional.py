@@ -153,10 +153,9 @@ def discover_conditional_ods(relation: Relation, *,
                                           workers=workers)
     attributes = _condition_attributes(relation, max_condition_domain)
     n_workers = resolve_workers(workers)
-    # one worker pool for every fragment run, rebased per fragment
-    # (a fresh fork+teardown per qualifying fragment would dominate a
-    # many-fragment sweep); workers start lazily, so small fragments
-    # that never cross the dispatch thresholds cost nothing
+    # one worker pool for every fragment run, rebased per fragment;
+    # threads start lazily, so small fragments that never cross the
+    # dispatch thresholds cost nothing
     shared_pool: Optional[WorkerPool] = None
     try:
         for condition, rows in _fragments(relation, attributes,
@@ -170,12 +169,10 @@ def discover_conditional_ods(relation: Relation, *,
             pool = None
             # grouped rows never exceed fragment rows, so fragments
             # below the dispatch threshold can never engage the pool —
-            # don't pay a per-fragment column publish for them
+            # don't pay a per-fragment encode for them
             if (n_workers >= 2 and len(rows)
                     >= pool_module.PARALLEL_MIN_GROUPED_ROWS):
                 encoded_fragment = fragment.encode()
-                if shared_pool is not None and shared_pool.closed:
-                    shared_pool = None    # crashed earlier: rebuild
                 if shared_pool is None:
                     shared_pool = WorkerPool(encoded_fragment,
                                              n_workers)

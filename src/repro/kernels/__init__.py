@@ -53,7 +53,8 @@ _REFERENCE = ReferenceBackend()
 _default = None
 _default_lock = threading.Lock()
 
-#: per-thread activation stack (executors activate around batches)
+#: per-thread activation stack (executors activate around batches) and
+#: kernel-span flag
 _active = threading.local()
 
 _warned_fallback = False
@@ -188,18 +189,18 @@ def effective_scalar_threshold(module_value: int) -> int:
 # dispatchers (the only call sites the hot paths use)
 # ----------------------------------------------------------------------
 #: Per-kernel trace spans are recorded only where a dispatch is the
-#: unit of work worth a timeline row — pool worker tasks enable this
-#: around their handler.  The coordinator's serial hot loop keeps the
-#: flag off (phases stay the span granularity there), which is what
-#: holds the serial path inside the ≤5 % overhead budget.
-_KERNEL_SPANS = False
-
-
+#: unit of work worth a timeline row — pool threads enable this around
+#: each chunk.  The coordinator's serial hot loop keeps the flag off
+#: (phases stay the span granularity there), which is what holds the
+#: serial path inside the ≤5 % overhead budget.  The flag is per
+#: thread, like the activation stack.
 def set_kernel_spans(flag: bool) -> None:
-    """Enable/disable per-kernel leaf spans for this process (pool
-    workers toggle it around each task)."""
-    global _KERNEL_SPANS
-    _KERNEL_SPANS = bool(flag)
+    """Enable/disable per-kernel leaf spans on the calling thread."""
+    _active.spans = bool(flag)
+
+
+def _kernel_spans() -> bool:
+    return getattr(_active, "spans", False)
 
 
 def _bill(kernel: str, backend_name: str, seconds: float) -> None:
@@ -222,7 +223,7 @@ def partition_product(probe: np.ndarray, rows_y: np.ndarray,
                                     class_ids_y, n_left)
     ended = time.perf_counter()
     _bill("product", backend.name, ended - started)
-    if _KERNEL_SPANS:
+    if _kernel_spans():
         trace.record_leaf("kernel", started, ended,
                           kernel="product", backend=backend.name)
     return out
@@ -238,7 +239,7 @@ def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
     out = backend.swap_flags(col_a, col_b, rows, offsets, class_ids)
     ended = time.perf_counter()
     _bill("swap", backend.name, ended - started)
-    if _KERNEL_SPANS:
+    if _kernel_spans():
         trace.record_leaf("kernel", started, ended,
                           kernel="swap", backend=backend.name)
     return out
@@ -255,7 +256,7 @@ def split_mismatch(column: np.ndarray, rows: np.ndarray,
     out = backend.split_mismatch(column, rows, offsets, class_sizes)
     ended = time.perf_counter()
     _bill("split", backend.name, ended - started)
-    if _KERNEL_SPANS:
+    if _kernel_spans():
         trace.record_leaf("kernel", started, ended,
                           kernel="split", backend=backend.name)
     return out
@@ -271,7 +272,7 @@ def densify(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     out = backend.densify(values)
     ended = time.perf_counter()
     _bill("densify", backend.name, ended - started)
-    if _KERNEL_SPANS:
+    if _kernel_spans():
         trace.record_leaf("kernel", started, ended,
                           kernel="densify", backend=backend.name)
     return out

@@ -1,233 +1,12 @@
-"""Zero-copy columnar ingest: aligned arenas for rank columns.
+"""Optional Arrow interop for ingest.
 
-The discovery engine's bulk input is a handful of ``int64`` rank
-columns.  Historically each consumer laid them out for itself: the
-encoder produced one heap array per column, and every
-:class:`repro.parallel.pool.WorkerPool` then re-copied all of them into
-a fresh shared-memory block.  A :class:`ColumnArena` builds the columns
-once into a single contiguous, 64-byte-aligned buffer whose layout is
-the pool's block descriptor format verbatim — so a shared-memory arena
-is published to workers *as is* (the worker-side
-:class:`repro.parallel.shm.BlockReader` attaches by name and reads the
-same ``{key: (offset_items, length)}`` layout), and two pools over the
-same relation share one segment instead of copying twice.
-
-Backings:
-
-* ``"heap"`` — one over-aligned heap allocation (the default ingest
-  target; kernels like 64-byte alignment for vector loads).
-* ``"mmap"`` — an anonymous memory map, page-aligned by construction;
-  lets the OS lazily back and reclaim large ingests.
-* ``"shm"`` — a named ``multiprocessing.shared_memory`` segment, the
-  publishable form.
-
-Shared arenas are **reference counted**, not relation-lifetime: every
-adopting pool calls :meth:`ColumnArena.acquire` and must
-:meth:`ColumnArena.release`; the segment is unlinked exactly once, when
-the count returns to zero.  (The chaos suite asserts ``/dev/shm`` is
-clean after every test — a relation-lifetime segment held by a
-module-scoped fixture would trip it.)  A closed arena stays closed;
-:meth:`repro.relation.encoding.EncodedRelation.shared_arena` builds a
-fresh one on the next adoption.
-
-Arrow interop (``pyarrow`` is optional and absent from the minimal
-install) is gated behind :func:`arrow_available`; when present,
+``pyarrow`` is optional and absent from the minimal install, so Arrow
+support is gated behind :func:`arrow_available`; when present,
 :func:`columns_from_arrow` turns a table's columns into the raw value
 sequences the encoder consumes without an intermediate pandas hop.
 """
 
 from __future__ import annotations
-
-import mmap as _mmap
-import os
-import threading
-from typing import Dict, Hashable, Optional, Tuple
-
-import numpy as np
-
-#: Alignment of every column start, in bytes and in int64 items.
-ALIGN_BYTES = 64
-ITEM_BYTES = np.dtype(np.int64).itemsize
-ALIGN_ITEMS = ALIGN_BYTES // ITEM_BYTES
-
-#: ``(segment name, layout, n_rows, arity)`` — identical to the worker
-#: pool's columns descriptor, so workers need no arena-specific code.
-ArenaDescriptor = Tuple[str, Dict[Hashable, Tuple[int, int]], int, int]
-
-BACKINGS = ("heap", "mmap", "shm")
-
-
-def _aligned_layout(arrays: Dict[Hashable, np.ndarray]
-                    ) -> Tuple[Dict[Hashable, Tuple[int, int]], int]:
-    """``{key: (offset_items, length)}`` with every offset a multiple
-    of :data:`ALIGN_ITEMS`, plus the total capacity in items."""
-    layout: Dict[Hashable, Tuple[int, int]] = {}
-    total = 0
-    for key, array in arrays.items():
-        layout[key] = (total, len(array))
-        used = total + len(array)
-        total = -(-used // ALIGN_ITEMS) * ALIGN_ITEMS
-    return layout, total
-
-
-def _heap_buffer(total_items: int) -> Tuple[np.ndarray, object]:
-    """A 64-byte-aligned int64 heap buffer (NumPy only guarantees
-    16-byte alignment, so over-allocate and slice to an aligned
-    start).  Returns ``(view, keepalive)``."""
-    raw = np.empty(total_items * ITEM_BYTES + ALIGN_BYTES, dtype=np.uint8)
-    start = (-raw.ctypes.data) % ALIGN_BYTES
-    view = raw[start:start + total_items * ITEM_BYTES].view(np.int64)
-    return view, raw
-
-
-class ColumnArena:
-    """One aligned buffer holding named ``int64`` columns.
-
-    Build with :meth:`build`; read columns back as zero-copy views via
-    :meth:`column`.  Shared-memory arenas additionally carry a
-    :attr:`name` and :meth:`descriptor` and are reference counted (see
-    the module docstring for the ownership protocol).
-    """
-
-    __slots__ = ("layout", "n_rows", "arity", "backing", "name",
-                 "_buffer", "_segment", "_map", "_keepalive", "_refs",
-                 "_lock", "_closed", "_owner_pid")
-
-    def __init__(self, layout: Dict[Hashable, Tuple[int, int]],
-                 n_rows: int, arity: int, backing: str, buffer,
-                 segment=None, mapping=None, keepalive=None):
-        self.layout = layout
-        self.n_rows = n_rows
-        self.arity = arity
-        self.backing = backing
-        self.name: Optional[str] = (
-            segment.name if segment is not None else None)
-        self._buffer = buffer
-        self._segment = segment
-        self._map = mapping
-        self._keepalive = keepalive
-        self._refs = 0
-        self._lock = threading.Lock()
-        self._closed = False
-        self._owner_pid = os.getpid()
-
-    @classmethod
-    def build(cls, arrays: Dict[Hashable, np.ndarray], n_rows: int,
-              backing: str = "heap") -> "ColumnArena":
-        """Copy ``arrays`` (one memcpy each) into a fresh arena."""
-        if backing not in BACKINGS:
-            raise ValueError(
-                f"unknown arena backing {backing!r}; expected one of "
-                f"{BACKINGS}")
-        layout, total_items = _aligned_layout(arrays)
-        segment = mapping = keepalive = None
-        if backing == "heap":
-            buffer, keepalive = _heap_buffer(total_items)
-        elif backing == "mmap":
-            mapping = _mmap.mmap(-1, max(total_items * ITEM_BYTES, 1))
-            buffer = np.frombuffer(mapping, dtype=np.int64,
-                                   count=total_items)
-        else:
-            # late import: repro.parallel owns the resource-tracker
-            # hygiene (attach suppression, creation lock) and must not
-            # be imported at kernels-package import time
-            from multiprocessing import shared_memory
-
-            from repro.parallel import shm as shm_module
-
-            with shm_module._TRACKER_LOCK:
-                segment = shared_memory.SharedMemory(
-                    create=True,
-                    size=max(total_items * ITEM_BYTES, 1))
-            buffer = np.frombuffer(segment.buf, dtype=np.int64,
-                                   count=total_items)
-        arena = cls(layout, n_rows, arity=len(arrays), backing=backing,
-                    buffer=buffer, segment=segment, mapping=mapping,
-                    keepalive=keepalive)
-        for key, array in arrays.items():
-            if len(array):
-                arena.column(key)[:] = array
-        return arena
-
-    # -- views ---------------------------------------------------------
-    def column(self, key: Hashable) -> np.ndarray:
-        """A zero-copy view over one named column."""
-        if self._closed:
-            raise ValueError("arena is closed")
-        offset, length = self.layout[key]
-        return self._buffer[offset:offset + length]
-
-    def columns(self) -> Dict[Hashable, np.ndarray]:
-        return {key: self.column(key) for key in self.layout}
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes laid out in this arena (alignment padding
-        excluded) — the currency of the pool's byte metrics."""
-        return sum(length
-                   for _, length in self.layout.values()) * ITEM_BYTES
-
-    def descriptor(self) -> ArenaDescriptor:
-        """The picklable handle workers attach by (shm arenas only)."""
-        if self.name is None:
-            raise ValueError(
-                f"a {self.backing!r}-backed arena has no shared name; "
-                f"build with backing='shm' to publish")
-        return (self.name, self.layout, self.n_rows, self.arity)
-
-    # -- ownership -----------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def refs(self) -> int:
-        return self._refs
-
-    def acquire(self) -> "ColumnArena":
-        """Take a shared reference; every acquire needs one
-        :meth:`release`."""
-        with self._lock:
-            if self._closed:
-                raise ValueError("arena is closed")
-            self._refs += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one reference; the last one destroys the backing (and
-        unlinks the shared segment).  Idempotent past zero."""
-        with self._lock:
-            if self._closed:
-                return
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            self._closed = True
-        self._destroy()
-
-    def _destroy(self) -> None:
-        self._buffer = None
-        self._keepalive = None
-        if self._map is not None:
-            mapping, self._map = self._map, None
-            try:
-                mapping.close()
-            except (BufferError, ValueError):  # pragma: no cover
-                pass
-        if self._segment is not None:
-            segment, self._segment = self._segment, None
-            try:
-                segment.close()
-            except BufferError:  # a view outlived us; GC unmaps
-                pass
-            # only the creating process owns the name; a forked child
-            # tearing down its inherited copy must not unlink a segment
-            # the coordinator still serves
-            if os.getpid() == self._owner_pid:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
 
 
 def arrow_available() -> bool:

@@ -25,11 +25,12 @@ August 2026):
   below that the difference is tens of nanoseconds either way.  16
   keeps the tiny-class tail on the allocation-free scalar path.
 * **Pool dispatch floors — 16 384 grouped rows / 4 096 relation
-  rows.**  Process dispatch costs a fraction of a millisecond per
-  chunk plus a segment publish; with the compiled kernels *faster*
-  per row, the break-even moves up, not down — the measured floor
-  stayed within the same bracket, so the PR 4 values stand for both
-  backends.
+  rows.**  Measured for an earlier process pool, whose dispatch cost a
+  fraction of a millisecond per chunk.  The thread pool keeps them:
+  with these floors, cold discovery of ncvoter 100k×10 from CSV at two
+  workers (``perfbench`` ``ncvoter-pooled``, 2-core x86-64 container,
+  October 2026) took 2.46-2.70 s on threads against 2.81-2.85 s on
+  the process pool, three runs each.
 * **Compiled swap routing — mean class size 64.**  The C swap kernel
   sorts each class independently (insertion sort to ~48 elements,
   ``qsort`` beyond) and beats the reference's global composite-key

@@ -10,16 +10,12 @@ classic collapsed/folded flamegraph format::
 
     fastod:run;lattice:process_level;partition:product 42
 
-Two deployment shapes:
-
-* **per-job, coordinator side** — the job scheduler starts one
-  profiler targeting its runner thread per job and renders the counts
-  as ``GET /jobs/{id}/profile`` / ``repro-od profile-job``;
-* **ambient, worker side** — pool workers keep one process-wide
-  profiler running (:func:`ambient`), re-armed automatically after a
-  ``fork`` (sampler threads do not survive into the child), and ship
-  per-task count *deltas* back on the result queue where the
-  coordinator merges them under a ``worker`` root.
+The job scheduler starts one profiler per job, targeting its runner
+thread, and installs it with :class:`track`.  Pool threads running one
+of the job's chunks join it for the chunk's duration
+(:func:`thread_sampled`); their stacks are rooted under ``worker``.
+The counts are served as ``GET /jobs/{id}/profile`` /
+``repro-od profile-job``.
 
 Sampling costs one stack walk per tick (~microseconds at the default
 5 ms interval); a stopped/never-started profiler costs nothing.  The
@@ -30,10 +26,12 @@ profile.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import sys
 import threading
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
 #: Default wall-clock seconds between samples: ~200 Hz, coarse enough
 #: to be invisible next to kernel work, fine enough that a one-second
@@ -59,29 +57,6 @@ def _fold_frame(frame) -> str:
     return ";".join(parts)
 
 
-def subtract(counts: Dict[str, int],
-             baseline: Dict[str, int]) -> Dict[str, int]:
-    """``counts - baseline`` per stack, dropping empty rows (what a
-    worker ships per task from its ambient profiler)."""
-    delta = {}
-    for stack, n in counts.items():
-        d = n - baseline.get(stack, 0)
-        if d > 0:
-            delta[stack] = d
-    return delta
-
-
-def merge_counts(into: Dict[str, int], other: Dict[str, int],
-                 prefix: Optional[str] = None) -> Dict[str, int]:
-    """Fold ``other`` into ``into`` (mutated and returned), optionally
-    re-rooting every stack under ``prefix`` — the coordinator mounts
-    worker stacks under a ``worker`` root this way."""
-    for stack, n in other.items():
-        key = f"{prefix};{stack}" if prefix else stack
-        into[key] = into.get(key, 0) + n
-    return into
-
-
 def render_folded(counts: Dict[str, int]) -> str:
     """Collapsed flamegraph text: one ``stack count`` line per stack,
     heaviest first (ties broken lexically for determinism)."""
@@ -94,9 +69,10 @@ class SamplingProfiler:
     """Periodic stack sampler for one target thread.
 
     ``thread_id`` defaults to the *calling* thread — the common case
-    is "profile me": the job runner profiles itself, a worker profiles
-    its task loop.  The sampler runs on its own daemon thread and
-    never samples itself.
+    is "profile me": the job runner profiles itself.  More threads can
+    join for a while (:meth:`add_thread`), each under a stack-root
+    prefix.  The sampler runs on its own daemon thread and never
+    samples itself.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
@@ -105,6 +81,8 @@ class SamplingProfiler:
         self._target = (thread_id if thread_id is not None
                         else threading.get_ident())
         self._counts: Dict[str, int] = {}
+        #: joined threads: thread id -> stack-root prefix
+        self._extra: Dict[int, str] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -113,23 +91,37 @@ class SamplingProfiler:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def retarget(self, thread_id: Optional[int] = None) -> None:
-        """Point the sampler at another thread (the fork re-arm path:
-        the child's surviving thread has the parent caller's stack but
-        its own ident)."""
-        self._target = (thread_id if thread_id is not None
-                        else threading.get_ident())
-
-    def sample_once(self) -> None:
-        """Take one synchronous sample of the target thread (callable
-        from any thread, including the target itself)."""
-        frame = sys._current_frames().get(self._target)
-        if frame is None:
-            return
-        stack = _fold_frame(frame)
-        del frame
+    def add_thread(self, thread_id: int, prefix: str) -> None:
+        """Sample ``thread_id`` too, its stacks rooted under
+        ``prefix``, until :meth:`remove_thread`; takes one sample of it
+        right away so even a short visit shows up."""
         with self._lock:
-            self._counts[stack] = self._counts.get(stack, 0) + 1
+            self._extra[thread_id] = prefix
+        self.sample_once({thread_id: prefix})
+
+    def remove_thread(self, thread_id: int) -> None:
+        with self._lock:
+            self._extra.pop(thread_id, None)
+
+    def sample_once(self, targets: Optional[Dict[int, str]] = None
+                    ) -> None:
+        """Take one synchronous sample of the target thread and every
+        joined thread (callable from any thread, including a target);
+        ``targets`` (thread id -> stack-root prefix) narrows it."""
+        if targets is None:
+            with self._lock:
+                targets = {self._target: "", **self._extra}
+        frames = sys._current_frames()
+        stacks = []
+        for thread_id, prefix in targets.items():
+            frame = frames.get(thread_id)
+            if frame is not None:
+                stack = _fold_frame(frame)
+                stacks.append(f"{prefix};{stack}" if prefix else stack)
+        del frames
+        with self._lock:
+            for stack in stacks:
+                self._counts[stack] = self._counts.get(stack, 0) + 1
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
@@ -167,66 +159,47 @@ class SamplingProfiler:
 
 
 # ----------------------------------------------------------------------
-# the ambient process profiler (worker side) and its fork re-arm
+# the current job's profiler
 # ----------------------------------------------------------------------
-_AMBIENT: Optional[SamplingProfiler] = None
-_AMBIENT_LOCK = threading.Lock()
-_FORK_HOOK_INSTALLED = False
+#: The profiler of the job running in this context (``None`` outside a
+#: profiled job); pool chunks see it through their context copy.
+_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_profiler", default=None)
 
 
-def _rearm_after_fork() -> None:
-    """Runs in the child after a ``fork``: the sampler thread did not
-    survive, and the parent's target ident names a thread that no
-    longer exists — retarget to the surviving thread and restart."""
-    global _AMBIENT
-    profiler = _AMBIENT
-    if profiler is None:
+@contextmanager
+def track(prof: Optional[SamplingProfiler]
+          ) -> Iterator[Optional[SamplingProfiler]]:
+    """Install a profiler (or ``None``) for the dynamic extent — the job
+    scheduler's per-job wrapper, mirroring ``trace.collect``."""
+    token = _CURRENT.set(prof)
+    try:
+        yield prof
+    finally:
+        _CURRENT.reset(token)
+
+
+@contextmanager
+def thread_sampled(prefix: str = "worker") -> Iterator[None]:
+    """Have the current job's profiler, if any, sample the calling
+    thread for the dynamic extent (what a pool thread wraps around one
+    chunk of the job's work)."""
+    prof = _CURRENT.get()
+    if prof is None:
+        yield
         return
-    profiler._thread = None          # the parent's thread is gone
-    profiler._stop.clear()
-    profiler.clear()
-    profiler.retarget(threading.get_ident())
-    profiler.start()
-
-
-def _install_fork_hook() -> None:
-    global _FORK_HOOK_INSTALLED
-    if _FORK_HOOK_INSTALLED or not hasattr(os, "register_at_fork"):
-        return
-    os.register_at_fork(after_in_child=_rearm_after_fork)
-    _FORK_HOOK_INSTALLED = True
-
-
-def ambient(interval: float = DEFAULT_INTERVAL) -> SamplingProfiler:
-    """The process-wide ambient profiler, started on first use and
-    targeting the calling thread.  Pool workers call this from their
-    task loop; the fork hook re-arms it in any further children."""
-    global _AMBIENT
-    with _AMBIENT_LOCK:
-        if _AMBIENT is None:
-            _install_fork_hook()
-            _AMBIENT = SamplingProfiler(interval=interval)
-        if not _AMBIENT.running:
-            _AMBIENT.retarget(threading.get_ident())
-            _AMBIENT.start()
-    return _AMBIENT
-
-
-def shutdown_ambient() -> None:
-    """Stop the ambient profiler (tests; workers just exit)."""
-    global _AMBIENT
-    with _AMBIENT_LOCK:
-        if _AMBIENT is not None:
-            _AMBIENT.stop()
-            _AMBIENT = None
+    thread_id = threading.get_ident()
+    prof.add_thread(thread_id, prefix)
+    try:
+        yield
+    finally:
+        prof.remove_thread(thread_id)
 
 
 __all__ = [
     "DEFAULT_INTERVAL",
     "SamplingProfiler",
-    "ambient",
-    "merge_counts",
     "render_folded",
-    "shutdown_ambient",
-    "subtract",
+    "thread_sampled",
+    "track",
 ]

@@ -1,67 +1,57 @@
-"""A persistent shared-memory worker pool for lattice-level execution.
+"""A thread pool for lattice-level execution.
 
 FASTOD's level-wise sweep visits each lattice node independently within
 a level: partition products and validation scans have no cross-node
-dependencies (Algorithm 1).  :class:`WorkerPool` exploits that by
-sharding a level's node work across long-lived ``multiprocessing``
-worker processes:
+dependencies (Algorithm 1).  :class:`WorkerPool` shards a level's node
+work across a few threads that share the coordinator's memory.  The
+compiled kernels (ctypes calls) and NumPy's sorts release the GIL, so
+the heavy part of every task runs in parallel, while partitions, rank
+columns and results are handed over by reference — nothing is copied
+or serialized.
 
-* the encoded relation's rank columns are published **once** per pool
-  (per :meth:`rebase` after appends) via
-  :mod:`multiprocessing.shared_memory`; workers read zero-copy NumPy
-  views, so task payloads never pickle a column;
-* per dispatch, the partitions a level needs (parents for products,
-  OCD contexts for scans) are published as one block and sharded by
-  task chunk;
-* **product results return through shared memory too**: the coordinator
-  pre-allocates a writable block (the result of ``Π_X · Π_Y`` holds at
-  most ``min(||Π*_X||, ||Π*_Y||)`` grouped rows), workers write their
-  flat ``rows``/``offsets`` straight into their task's slot, and only
-  ``(mask, lengths)`` triples travel back on the result queue;
-* scan/validate verdicts are booleans — they ride the queue directly.
+Determinism: pool threads run the exact same kernels
+(:meth:`StrippedPartition.product`, :func:`scan_verdict`, ...) on the
+same inputs, and the coordinator merges chunk results in chunk order —
+so a parallel run's partitions and verdicts are byte-identical to
+``workers=1``.
 
-Determinism: workers run the exact same kernels
-(:meth:`StrippedPartition.product`,
-:func:`is_compatible_in_classes`, ...) on byte-identical inputs, and
-the coordinator merges results keyed by mask/task id and applies them
-in the serial engine's order — so a parallel run's partitions and
-verdicts are byte-identical to ``workers=1``.
+Each chunk runs
 
-Lifecycle: worker processes start lazily on the first dispatch (a pool
-created for a run that never crosses the serial-fallback thresholds
-costs only one column publish), and :meth:`shutdown` — also invoked by
-a GC finalizer, by ``with`` exit, and on any dispatch error including
-``KeyboardInterrupt`` — terminates workers and unlinks every live
-shared-memory segment, so crashes cannot leak segments.
+* under the kernel backend the coordinator resolved for the dispatch
+  (:func:`repro.kernels.activate` is thread-local);
+* inside a :mod:`contextvars` copy taken within the ``pool-dispatch``
+  span, so its ``task`` span and per-kernel leaf spans land in the
+  caller's trace buffer under that span, and the job's sampling
+  profiler samples the thread while the chunk runs;
+* with cooperative cancellation: the chunk checks the dispatch's
+  :class:`~repro.engine.budget.DeadlineBudget` between tasks and
+  returns its partial results flagged ``timed_out``.
 
-Cancellation is cooperative: dispatches carry an optional wall-clock
-deadline; workers re-check it between tasks inside a chunk and return
-partial results flagged ``timed_out`` instead of scanning past the
-budget.
+Lifecycle: threads start lazily on the first dispatch (a pool created
+for a run that never crosses the serial-fallback thresholds costs
+nothing), and :meth:`WorkerPool.shutdown` — also run on ``with`` exit —
+joins them.  A segfault inside a C kernel takes the whole process down;
+the service's job journal and boot replay are the recovery story for
+that (see DESIGN.md, "Fault tolerance").
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
-import queue
-import resource
-import signal
+import threading
 import time
 import traceback
-import weakref
-from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-import multiprocessing as mp
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import faults
+from repro import faults, kernels
 from repro.errors import ReproError
-from repro import kernels
 from repro.kernels import thresholds as kernel_thresholds
 from repro.obs import accounting, metrics, profiler, trace
-from repro.parallel.shm import BlockReader, SharedArrayBlock, unlink_by_name
+from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 
@@ -75,39 +65,22 @@ _DISPATCH_SECONDS = metrics.histogram(
     "result), by task kind", ("kind",))
 _QUEUE_WAIT_SECONDS = metrics.histogram(
     "repro_pool_queue_wait_seconds",
-    "Coordinator-observed queueing overhead per dispatch: wall clock "
-    "minus the busiest chunk's kernel time, clamped at zero")
-_SHM_BYTES = metrics.counter(
-    "repro_pool_shm_bytes_total",
-    "Bytes published into shared-memory blocks, by payload kind",
-    ("payload",))
-_CRASHES = metrics.counter(
-    "repro_pool_crashes_total",
-    "Dispatches that failed and tore the pool down, by failure shape",
-    ("shape",))
-_ZERO_COPY_BYTES = metrics.counter(
-    "repro_pool_zero_copy_bytes_total",
-    "Column bytes adopted from an already-published shared arena "
-    "instead of being re-copied into a fresh segment")
+    "Coordinator-observed overhead per dispatch: wall clock minus "
+    "the busiest chunk's thread CPU time, clamped at zero")
 
 #: Below this many grouped rows in a dispatch's partitions the callers
-#: fall back to the serial path — process dispatch costs ~fractions of
-#: a millisecond per chunk plus one segment publish, which only
-#: amortizes once the vectorized kernels have real work to chew on.
-#: Canonical value (with the crossover measurement) in
-#: :mod:`repro.kernels.thresholds`; this module global stays the name
-#: read at dispatch time so tests and benchmarks can retune it.
+#: fall back to the serial path.  Canonical value (with the crossover
+#: measurement) in :mod:`repro.kernels.thresholds`; this module global
+#: stays the name read at dispatch time so tests and benchmarks can
+#: retune it.
 PARALLEL_MIN_GROUPED_ROWS = kernel_thresholds.PARALLEL_MIN_GROUPED_ROWS
 
 #: Relation size floor for the hybrid/validator parallel paths, which
 #: gate on rows (their context partitions are not known up front).
 PARALLEL_MIN_ROWS = kernel_thresholds.PARALLEL_MIN_ROWS
 
-#: Task chunks per worker and dispatch.  Two per worker balances the
-#: trade measured on the Exp-1 workloads: more chunks smooth out
-#: uneven node costs but repeat per-chunk context materialization
-#: (shared parents/contexts are rebuilt in every chunk that touches
-#: them), fewer chunks leave stragglers.
+#: Task chunks per worker and dispatch.  Two per worker smooths out
+#: uneven node costs without multiplying per-chunk overhead.
 CHUNKS_PER_WORKER = 2
 
 #: Dispatch telemetry records kept per pool (ring-buffer style) — far
@@ -115,28 +88,22 @@ CHUNKS_PER_WORKER = 2
 #: by an unbounded ``watch`` loop cannot accumulate without limit.
 MAX_DISPATCH_RECORDS = 512
 
-#: Partition blocks retained for worker reuse.  A level's partitions
-#: serve as product parents one level later and as OCD contexts two
-#: levels later, and early levels add small ad-hoc publish blocks
-#: (singletons, the empty context) — six covers every live reference
-#: with headroom; the oldest is unlinked as new levels arrive.
-RETAINED_PARTITION_BLOCKS = 6
+#: Composite partitions each pool thread keeps for mask-derived
+#: validations (hybrid escalation waves revisit the same contexts).
+VALIDATION_CACHE_ENTRIES = 128
 
 ScanTask = Tuple[Hashable, Hashable, str, int, int]
 
-#: Where a partition's shared replica lives:
-#: ``(block name, rows offset, rows len, offsets offset, offsets len)``
-#: in int64 items.  Stored on ``StrippedPartition._shm_ref`` so a
-#: partition is published once and then referenced by every later
-#: dispatch that needs it (products one level up, OCD scans two levels
-#: up) instead of being re-copied per level.
-PartitionRef = Tuple[str, int, int, int, int]
+#: One chunk's work: ``run(tasks, stop) -> {key: value}``, where
+#: ``stop()`` turns True once the dispatch should wind down.
+ChunkRunner = Callable[[Sequence, Callable[[], bool]], Dict]
 
 
 class PoolDispatchError(ReproError):
-    """A dispatch failed mid-flight.  ``partial_results`` holds the
-    chunk payloads the coordinator had already collected — verdicts in
-    them are *acknowledged* work a recovery layer must not redo."""
+    """A dispatch failed.  ``partial_results`` holds the chunk results
+    of every chunk that completed — acknowledged work a recovery layer
+    must not redo (each is ``{"results": {key: value},
+    "timed_out": bool}``)."""
 
     def __init__(self, message: str,
                  partial_results: Optional[List[dict]] = None):
@@ -144,22 +111,8 @@ class PoolDispatchError(ReproError):
         self.partial_results: List[dict] = list(partial_results or [])
 
 
-class WorkerCrashError(PoolDispatchError):
-    """A worker process died while a dispatch was in flight.  The
-    pool tears itself down on the way out; holders rebuild a fresh
-    pool (see :class:`repro.engine.executors.PoolExecutor`, whose
-    retry loop re-runs only unacknowledged tasks)."""
-
-
 class WorkerTaskError(PoolDispatchError):
-    """A task raised inside a worker; carries the remote traceback."""
-
-
-class WorkerStallError(WorkerCrashError):
-    """A dispatch made no progress for ``stall_timeout`` seconds while
-    every worker stayed alive — a lost/stuck queue message.  Treated
-    exactly like a crash by the recovery layer (the pool is rebuilt
-    and unacknowledged tasks re-run)."""
+    """A task raised on a pool thread; carries its traceback."""
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -182,495 +135,83 @@ def _chunk_slices(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
             for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
 
 
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-_MAX_ATTACHMENTS = 6
-
-#: Span-ring capacity per worker task: one "task" root plus one leaf
-#: per kernel call and shm attach.  Bounded so a giant chunk ships a
-#: bounded export back on the result queue (the freshest spans win).
-_WORKER_SPAN_CAPACITY = 512
-
-
-class _WorkerState:
-    """Per-process caches: attached segments and partition caches."""
-
-    def __init__(self):
-        self.readers: "OrderedDict[str, BlockReader]" = OrderedDict()
-        self.caches: "OrderedDict[str, object]" = OrderedDict()
-        self.columns_by_block: "OrderedDict[str, List[np.ndarray]]" = \
-            OrderedDict()
-
-    def reader(self, name: str) -> BlockReader:
-        reader = self.readers.pop(name, None)
-        if reader is None:
-            # the attach is span-worthy: it is the one worker-side op
-            # whose cost scales with segment churn rather than task
-            # size (no-op span outside an observed task / REPRO_OBS=0)
-            with trace.span("shm-attach", block=name):
-                reader = BlockReader(name)
-        self.readers[name] = reader          # most-recently-used last
-        while len(self.readers) > _MAX_ATTACHMENTS:
-            _, stale = self.readers.popitem(last=False)
-            stale.close()
-        return reader
-
-    def columns(self, descriptor) -> List[np.ndarray]:
-        """Rank columns for one published block, copied onto this
-        worker's heap on first use.
-
-        The copy is deliberate: columns are the random-gather targets
-        of every scan kernel, and heap pages (hugepage-backed, hot in
-        this process) gather measurably faster than tmpfs-backed
-        shared-memory pages.  One memcpy per worker per pool still
-        beats pickling columns into every task by orders of magnitude.
-        """
-        name, layout, _n_rows, arity = descriptor
-        columns = self.columns_by_block.get(name)
-        if columns is None:
-            reader = self.reader(name)
-            columns = [np.array(reader.array(layout, a))
-                       for a in range(arity)]
-            # keep the current and (briefly, across a rebase) previous
-            # relation's columns
-            while len(self.columns_by_block) >= 2:
-                self.columns_by_block.popitem(last=False)
-            self.columns_by_block[name] = columns
-        return columns
-
-    def partition_cache(self, descriptor):
-        """A worker-local :class:`PartitionCache` over the shared
-        columns (hybrid escalation tasks derive ad-hoc contexts)."""
-        from repro.partitions.cache import PartitionCache
-
-        name, _layout, n_rows, arity = descriptor
-        cache = self.caches.get(name)
-        if cache is None:
-            columns = self.columns(descriptor)
-            relation = EncodedRelation(
-                tuple(f"a{i}" for i in range(arity)), list(columns))
-            if relation.n_rows != n_rows:  # pragma: no cover - paranoia
-                raise ValueError("shared column length mismatch")
-            cache = PartitionCache(relation, max_entries=128)
-            # cap at the two most recent relations (pre/post rebase)
-            while len(self.caches) >= 2:
-                self.caches.pop(next(iter(self.caches)))
-            self.caches[name] = cache
-        return cache
-
-
-def _past(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.time() > deadline
-
-
-def _partition_from_ref(state: _WorkerState, ref: PartitionRef,
-                        n_rows: int) -> StrippedPartition:
-    name, rows_off, rows_len, offs_off, offs_len = ref
-    reader = state.reader(name)
-    return StrippedPartition.from_flat(
-        reader.raw(rows_off, rows_len),
-        reader.raw(offs_off, offs_len), n_rows)
-
-
-def _handle_products(state: _WorkerState, payload: dict) -> dict:
-    out_name, out_layout = payload["out"]
-    n_rows = payload["n_rows"]
-    deadline = payload["deadline"]
-    out_reader = state.reader(out_name)
-    refs: Dict[int, PartitionRef] = payload["parents"]
-    parents: Dict[int, StrippedPartition] = {}
-
-    def parent(mask: int) -> StrippedPartition:
-        partition = parents.get(mask)
-        if partition is None:
-            partition = _partition_from_ref(state, refs[mask], n_rows)
-            parents[mask] = partition
-        return partition
-
-    done: List[Tuple[int, int, int]] = []
-    timed_out = False
-    for child, left, right in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        product = parent(left).product(parent(right))
-        rows_view = out_reader.array(out_layout, (child, "r"))
-        offsets_view = out_reader.array(out_layout, (child, "o"))
-        rows_view[:len(product.rows)] = product.rows
-        offsets_view[:len(product.offsets)] = product.offsets
-        done.append((child, len(product.rows), len(product.offsets)))
-    return {"done": done, "timed_out": timed_out}
-
-
 def _scan_verdict(mode: str, columns: List[np.ndarray], a: int, b: int,
                   context: Optional[StrippedPartition]) -> bool:
-    """Worker-side twin of the coordinator kernels: one shared mode
-    dispatch, so unknown modes fail loudly at any worker count."""
+    """The shared mode dispatch (lazy import: validation imports this
+    package's siblings indirectly)."""
     from repro.core.validation import scan_verdict
 
     return scan_verdict(mode, columns, a, b, context)
 
 
-def _handle_scans(state: _WorkerState, payload: dict) -> dict:
-    columns = state.columns(payload["columns"])
-    refs: Dict[Hashable, PartitionRef] = payload["contexts"]
-    n_rows = payload["columns"][2]
-    deadline = payload["deadline"]
-    # one partition object per context key, so derived state (class
-    # ids, cached expansions) is shared by every task scanning it
-    contexts: Dict[Hashable, StrippedPartition] = {}
-    verdicts: List[Tuple[Hashable, bool]] = []
-    timed_out = False
-    for key, context_key, mode, a, b in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        context = contexts.get(context_key)
-        if context is None:
-            context = _partition_from_ref(state, refs[context_key],
-                                          n_rows)
-            contexts[context_key] = context
-        verdicts.append((key, _scan_verdict(mode, columns, a, b, context)))
-    return {"verdicts": verdicts, "timed_out": timed_out}
-
-
-def _handle_validations(state: _WorkerState, payload: dict) -> dict:
-    cache = state.partition_cache(payload["columns"])
-    columns = cache.relation.ranks
-    deadline = payload["deadline"]
-    verdicts: List[Tuple[Hashable, bool]] = []
-    timed_out = False
-    for key, mask, mode, a, b in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        context = None if mode == "pointwise" else cache.get(mask)
-        verdicts.append((key, _scan_verdict(mode, columns, a, b, context)))
-    return {"verdicts": verdicts, "timed_out": timed_out}
-
-
-_HANDLERS = {
-    "products": _handle_products,
-    "scans": _handle_scans,
-    "validations": _handle_validations,
-}
-
-
-def _run_task_observed(state: _WorkerState, kind: str, payload: dict,
-                       obs_ctx: dict) -> dict:
-    """Run one chunk under worker-local observability.
-
-    Everything the coordinator cannot see from its side of the queue
-    is captured here: a private span ring rooted in a ``task`` span
-    (kernel calls and shm attaches land under it), the ambient
-    sampling profiler's per-task count delta, and a ``getrusage``
-    delta — exported on the result dict as ``"_obs"`` together with
-    the worker-clock ``(enter, exit)`` edges the coordinator needs to
-    rebase the spans onto its own monotonic epoch.
-
-    Only runs when the dispatching coordinator attached an ``"obs"``
-    context to the payload — under ``REPRO_OBS=0`` no context is ever
-    attached and tasks take the bare path with zero extra payload
-    bytes in either direction.
-    """
-    enter = time.perf_counter()
-    ru0 = resource.getrusage(resource.RUSAGE_SELF)
-    prof = profiler.ambient()
-    profile_base = prof.counts()
-    buffer = trace.TraceBuffer(capacity=_WORKER_SPAN_CAPACITY,
-                               trace_id=obs_ctx.get("trace_id"))
-    kernels.set_kernel_spans(True)
-    try:
-        with trace.collect(buffer):
-            with trace.span("task", kind=kind, pid=os.getpid(),
-                            tasks=len(payload.get("tasks", ()))):
-                with kernels.activate(payload.get("kernels")):
-                    result = _HANDLERS[kind](state, payload)
-    finally:
-        kernels.set_kernel_spans(False)
-    prof.sample_once()
-    ru1 = resource.getrusage(resource.RUSAGE_SELF)
-    result["_obs"] = {
-        "spans": buffer.export(),
-        "clock": (enter, time.perf_counter()),
-        "rusage": (ru1.ru_utime - ru0.ru_utime,
-                   ru1.ru_stime - ru0.ru_stime,
-                   accounting.maxrss_bytes(ru1.ru_maxrss)),
-        "profile": profiler.subtract(prof.counts(), profile_base),
-        "pid": os.getpid(),
-    }
-    return result
-
-
-def _worker_main(task_queue, result_queue) -> None:
-    state = _WorkerState()
-    while True:
-        message = task_queue.get()
-        if message is None:
-            break
-        task_id, kind, payload = message
-        started = time.process_time()
-        try:
-            faults.maybe_raise("worker.task",
-                               f"injected failure in {kind!r} handler")
-            obs_ctx = payload.get("obs")
-            if obs_ctx is not None:
-                result = _run_task_observed(state, kind, payload,
-                                            obs_ctx)
-            else:
-                # run the chunk under the coordinator-resolved kernel
-                # backend, so verdicts are computed by the same
-                # kernels at every worker count
-                with kernels.activate(payload.get("kernels")):
-                    result = _HANDLERS[kind](state, payload)
-        except BaseException:
-            result_queue.put(
-                (task_id, "err", traceback.format_exc(), 0.0))
-            continue
-        result_queue.put(
-            (task_id, "ok", result, time.process_time() - started))
-    for reader in state.readers.values():
-        reader.close()
-
-
-# ----------------------------------------------------------------------
-# coordinator side
-# ----------------------------------------------------------------------
-def _shutdown_static(processes: List, task_queue, block_names: set,
-                     arenas: Optional[List] = None) -> None:
-    """Idempotent teardown shared by shutdown(), GC and atexit.
-
-    ``arenas`` holds the refcounted column arenas this pool adopted
-    (see :mod:`repro.kernels.ingest`); each gets exactly one release —
-    the arena unlinks itself once every holder has let go.
-    """
-    try:
-        for _ in processes:
-            try:
-                task_queue.put_nowait(None)
-            except Exception:
-                break
-    except Exception:  # pragma: no cover
-        pass
-    for process in processes:
-        process.join(timeout=1.0)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-    processes.clear()
-    for name in list(block_names):
-        unlink_by_name(name)
-        block_names.discard(name)
-    while arenas:
-        arena = arenas.pop()
-        try:
-            arena.release()
-        except Exception:  # pragma: no cover - release is best-effort
-            pass
-
-
 class WorkerPool:
-    """Shared-memory process pool bound to one encoded relation.
+    """Thread pool bound to one encoded relation.
 
     ``with WorkerPool(encoded, workers=4) as pool: ...`` — or call
     :meth:`shutdown` explicitly.  The pool is *persistent*: one set of
-    workers serves every level of a discovery run (and every run that
-    reuses the pool), with the rank columns published exactly once.
+    threads serves every level of a discovery run (and every run that
+    reuses the pool).
     """
 
     def __init__(self, relation: EncodedRelation, workers: int,
-                 start_method: Optional[str] = None,
                  n_chunks_per_dispatch: Optional[int] = None,
-                 stall_timeout: Optional[float] = None,
                  kernel_backend: Optional[str] = None):
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         self._relation = relation
         self.workers = workers
-        #: kernels backend name stamped into every chunk payload;
-        #: ``None`` resolves to the coordinator's active backend at
-        #: dispatch time, so serial and pooled kernels always agree
+        #: kernels backend every chunk runs under; ``None`` resolves to
+        #: the coordinator's active backend at dispatch time, so serial
+        #: and pooled kernels always agree
         self.kernel_backend = kernel_backend
-        #: seconds without any dispatch progress (no result, workers
-        #: all alive) before the dispatch fails with a typed
-        #: :class:`WorkerStallError` instead of hanging on a lost
-        #: queue message.  ``None`` (the default) never stalls out —
-        #: legitimate tasks may run arbitrarily long.
-        self.stall_timeout = stall_timeout
         #: chunk count per dispatch; overriding it decouples chunk
         #: granularity from the worker count (the benchmark's
-        #: work-distribution projection measures N-worker chunks in one
-        #: uncontended worker)
+        #: work-distribution projection measures N-worker chunks on one
+        #: uncontended thread)
         self.n_chunks_per_dispatch = (
             workers * CHUNKS_PER_WORKER if n_chunks_per_dispatch is None
             else max(1, n_chunks_per_dispatch))
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self._ctx = mp.get_context(start_method)
-        self._processes: List = []
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._next_task_id = 0
-        self._live_blocks: set = set()
-        #: recently published partition blocks, oldest first; partitions
-        #: carry ``_shm_ref`` pointers into them so one publication
-        #: serves products one level up and OCD scans two levels up
-        self._partition_blocks: "OrderedDict[str, SharedArrayBlock]" = \
-            OrderedDict()
         #: per-dispatch telemetry: kind, tasks, chunks, per-chunk busy
-        #: CPU seconds, publish seconds, wall seconds — the currency of
-        #: the hardware-independent benchmark gate
+        #: thread-CPU seconds, wall seconds — the currency of the
+        #: hardware-independent benchmark gate
         self.dispatches: List[Dict[str, object]] = []
-        self._columns_block: Optional[SharedArrayBlock] = None
-        self._columns_arena = None
-        #: adopted column arenas still holding our reference; shared
-        #: with the finalizer so GC/crash teardown releases them too
-        self._adopted_arenas: List = []
-        self._columns_descriptor = None
+        self._threads: Optional[ThreadPoolExecutor] = None
+        #: per-thread ``(relation, PartitionCache)`` for validations
+        self._local = threading.local()
         self._closed = False
-        self._publish_columns()
-        self._finalizer = weakref.finalize(
-            self, _shutdown_static, self._processes, self._task_queue,
-            self._live_blocks, self._adopted_arenas)
 
     # -- lifecycle -----------------------------------------------------
     @property
     def relation(self) -> EncodedRelation:
         return self._relation
 
-    def _publish_columns(self) -> None:
-        """Make the relation's rank columns reachable by workers.
-
-        Preferred path: adopt the relation's refcounted shared arena
-        (:meth:`EncodedRelation.shared_arena`) — if another pool over
-        the same relation already published one, this is zero-copy and
-        the two pools share a single segment.  The legacy per-pool
-        block publish remains as the fallback when the arena cannot be
-        built (e.g. no shared-memory support on the platform).
-        """
-        relation = self._relation
-        old_block = self._columns_block
-        old_arena = self._columns_arena
-        arena = None
-        try:
-            reused = relation.has_live_arena()
-            arena = relation.shared_arena()
-        except Exception:
-            arena = None
-        if arena is not None:
-            self._columns_arena = arena
-            self._adopted_arenas.append(arena)
-            self._columns_block = None
-            self._columns_descriptor = arena.descriptor()
-            if reused:
-                _ZERO_COPY_BYTES.inc(arena.nbytes)
-            else:
-                _SHM_BYTES.inc(arena.nbytes, payload="columns")
-        else:  # pragma: no cover - exercised via injection in tests
-            block = SharedArrayBlock.publish(relation.rank_arrays())
-            _SHM_BYTES.inc(block.nbytes, payload="columns")
-            self._live_blocks.add(block.name)
-            self._columns_block = block
-            self._columns_arena = None
-            self._columns_descriptor = (
-                block.name, block.layout, relation.n_rows, relation.arity)
-        if old_block is not None:
-            self._live_blocks.discard(old_block.name)
-            old_block.close_and_unlink()
-        if old_arena is not None:
-            self._release_arena(old_arena)
-
-    def _release_arena(self, arena) -> None:
-        try:
-            self._adopted_arenas.remove(arena)
-        except ValueError:  # pragma: no cover - already released
-            return
-        arena.release()
-
     def rebase(self, relation: EncodedRelation) -> None:
-        """Point the pool at a grown relation (the incremental append
-        path): republish the columns and drop every retained partition
-        block (their row universe is stale); workers re-attach lazily
-        on their next task and drop stale mappings."""
+        """Point the pool at another relation (the incremental append
+        path, or the next service job); per-thread validation caches
+        notice the switch and rebuild lazily."""
         self._relation = relation
-        self._publish_columns()
-        while self._partition_blocks:
-            _, block = self._partition_blocks.popitem(last=False)
-            self._live_blocks.discard(block.name)
-            block.close_and_unlink()
-
-    def _retain(self, block: SharedArrayBlock) -> None:
-        self._partition_blocks[block.name] = block
-        self._live_blocks.add(block.name)
-        while len(self._partition_blocks) > RETAINED_PARTITION_BLOCKS:
-            _, stale = self._partition_blocks.popitem(last=False)
-            self._live_blocks.discard(stale.name)
-            stale.close_and_unlink()
-
-    def _ensure_shared(self, partitions: Dict[Hashable, StrippedPartition]
-                       ) -> Dict[Hashable, PartitionRef]:
-        """Shared-memory refs for ``partitions``, publishing the ones
-        (in one batch block) that have no live replica yet."""
-        refs: Dict[Hashable, PartitionRef] = {}
-        missing: Dict[Hashable, StrippedPartition] = {}
-        for key, partition in partitions.items():
-            ref = partition._shm_ref
-            if ref is not None and ref[0] in self._partition_blocks:
-                refs[key] = ref
-            else:
-                missing[key] = partition
-        if missing:
-            arrays: Dict[Hashable, np.ndarray] = {}
-            for key, partition in missing.items():
-                arrays[(key, "r")] = partition.rows
-                arrays[(key, "o")] = partition.offsets
-            block = SharedArrayBlock.publish(arrays)
-            _SHM_BYTES.inc(block.nbytes, payload="partitions")
-            self._retain(block)
-            for key, partition in missing.items():
-                rows_off, rows_len = block.layout[(key, "r")]
-                offs_off, offs_len = block.layout[(key, "o")]
-                ref = (block.name, rows_off, rows_len, offs_off, offs_len)
-                partition._shm_ref = ref
-                refs[key] = ref
-        return refs
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`shutdown` ran (including the error-path
-        teardown after a crash); a closed pool never restarts — holders
-        drop it and build a fresh one."""
+        """True once :meth:`shutdown` ran; a closed pool never
+        restarts — holders build a fresh one."""
         return self._closed
 
     def _ensure_started(self) -> None:
         if self._closed:
-            raise WorkerCrashError(
+            raise PoolDispatchError(
                 "the worker pool has been shut down; create a new one")
-        if self._processes:
-            return
-        for index in range(self.workers):
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(self._task_queue, self._result_queue),
-                name=f"repro-worker-{index}", daemon=True)
-            process.start()
-            self._processes.append(process)
+        if self._threads is None:
+            self._threads = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-pool")
 
     def shutdown(self) -> None:
-        """Terminate workers and unlink every live segment (idempotent).
-
-        The pool is unusable afterwards (:attr:`closed`); stale
-        partition refs are dropped so nothing can resolve against the
-        unlinked segments."""
+        """Stop and join the pool threads (idempotent); the pool is
+        unusable afterwards (:attr:`closed`)."""
         self._closed = True
-        _shutdown_static(self._processes, self._task_queue,
-                         self._live_blocks, self._adopted_arenas)
-        self._partition_blocks.clear()
-        self._columns_block = None
-        self._columns_arena = None
+        threads, self._threads = self._threads, None
+        if threads is not None:
+            threads.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -679,366 +220,197 @@ class WorkerPool:
         self.shutdown()
 
     # -- dispatch machinery --------------------------------------------
-    def _submit(self, kind: str, payload: dict) -> int:
-        task_id = self._next_task_id
-        self._next_task_id += 1
-        faults.maybe_sleep("pool.queue.delay")
-        if faults.fire("pool.queue.drop"):
-            # the chunk vanishes off the queue; with a stall_timeout
-            # the dispatch surfaces this as WorkerStallError
-            return task_id
-        self._task_queue.put((task_id, kind, payload))
-        return task_id
+    def _kernel_backend(self):
+        """The backend every chunk of a dispatch runs under: the pool's
+        pinned backend, else whatever is active on the coordinator now
+        (resolved, so pool threads never re-decide)."""
+        if self.kernel_backend:
+            return kernels.resolve_backend(self.kernel_backend)
+        return kernels.active_backend()
 
-    def _check_alive(self) -> None:
-        for process in self._processes:
-            if not process.is_alive():
-                raise WorkerCrashError(
-                    f"worker {process.name} died "
-                    f"(exitcode {process.exitcode})")
-
-    def _kill_one_worker(self) -> None:
-        """Chaos hook: SIGKILL the first live worker mid-dispatch."""
-        for process in self._processes:
-            if process.is_alive() and process.pid is not None:
-                os.kill(process.pid, signal.SIGKILL)
-                return
-
-    def _drain_nowait(self, results: Dict[int, Tuple[dict, float]],
-                      pending: set) -> None:
-        """Best-effort harvest of results already on the queue (the
-        crash path runs this so acknowledged work is not re-run)."""
-        while True:
+    @staticmethod
+    def _run_chunk(kind: str, run: ChunkRunner, tasks: Sequence,
+                   backend, should_stop: Callable[[], bool]
+                   ) -> Tuple[dict, float]:
+        """One chunk on a pool thread (inside the dispatch's context
+        copy): returns its result dict and busy thread-CPU seconds."""
+        started = time.thread_time()
+        with profiler.thread_sampled(), \
+                trace.span("task", kind=kind, tasks=len(tasks),
+                           thread=threading.current_thread().name):
+            faults.maybe_raise("worker.task",
+                               f"injected failure in a {kind!r} task")
+            kernels.set_kernel_spans(True)
             try:
-                message = self._result_queue.get_nowait()
-            except (queue.Empty, OSError):
-                return
-            task_id, status, payload, busy = message
-            if status == "ok" and task_id in pending:
-                pending.discard(task_id)
-                results[task_id] = (payload, busy)
+                with kernels.activate(backend):
+                    results = run(tasks, should_stop)
+            finally:
+                kernels.set_kernel_spans(False)
+        return ({"results": results,
+                 "timed_out": len(results) < len(tasks)},
+                time.thread_time() - started)
 
-    def _collect(self, pending: set,
-                 ack_times: Optional[Dict[int, float]] = None
-                 ) -> Dict[int, Tuple[dict, float]]:
-        results: Dict[int, Tuple[dict, float]] = {}
-        last_progress = time.monotonic()
-        while pending:
-            try:
-                message = self._result_queue.get(timeout=0.2)
-            except queue.Empty:
-                try:
-                    self._check_alive()
-                except WorkerCrashError as crash:
-                    self._drain_nowait(results, pending)
-                    crash.partial_results = [
-                        payload for payload, _ in results.values()]
-                    raise
-                if (self.stall_timeout is not None
-                        and time.monotonic() - last_progress
-                        > self.stall_timeout):
-                    raise WorkerStallError(
-                        f"dispatch made no progress for "
-                        f"{self.stall_timeout:.1f}s with {len(pending)} "
-                        f"chunk(s) outstanding (lost queue message?)",
-                        partial_results=[
-                            payload for payload, _ in results.values()])
-                continue
-            last_progress = time.monotonic()
-            task_id, status, payload, busy = message
-            if ack_times is not None:
-                # the coordinator-side ack edge of this chunk: one half
-                # of the clock-rebase window worker spans are spliced on
-                ack_times[task_id] = time.perf_counter()
-            if status == "err":
-                raise WorkerTaskError(
-                    f"a parallel task failed in a worker:\n{payload}",
-                    partial_results=[
-                        p for p, _ in results.values()])
-            if task_id in pending:
-                pending.discard(task_id)
-                results[task_id] = (payload, busy)
-        return results
+    def _dispatch(self, kind: str, run: ChunkRunner, tasks: Sequence,
+                  budget=None) -> Tuple[Dict, bool]:
+        """Run ``tasks`` in contiguous chunks across the pool threads;
+        returns the merged ``{key: value}`` results and whether the
+        budget cut the dispatch short.
 
-    def _dispatch(self, kind: str,
-                  payloads: Sequence[dict]) -> List[Tuple[dict, float]]:
-        """Run chunk payloads across the pool; any failure — a worker
-        crash, a remote exception, or a coordinator-side interrupt —
-        tears the pool down before propagating, so no segment leaks.
-        Crash-shaped failures carry the already-acknowledged chunk
-        payloads (:attr:`PoolDispatchError.partial_results`) so the
-        recovery layer re-runs only the lost tasks."""
+        A chunk that raises does not stop the others: the dispatch
+        waits for every chunk, then raises :class:`WorkerTaskError`
+        carrying the completed chunks' results.  A coordinator-side
+        interrupt stops every chunk at its next task boundary."""
         self._ensure_started()
         started = time.perf_counter()
-        with trace.span("pool-dispatch", kind=kind,
-                        chunks=len(payloads)):
-            # short-circuit *before* serialization: under REPRO_OBS=0
-            # no obs context rides out and no span/rusage export rides
-            # back — worker payloads stay byte-for-byte lean
-            obs_on = metrics.enabled()
-            submit_times: Dict[int, float] = {}
-            ack_times: Dict[int, float] = {}
-            if obs_on:
-                obs_ctx = {
-                    "trace_id": trace.current_buffer().trace_id,
-                    "span": trace.current_span_id(),
-                }
-                for payload in payloads:
-                    payload["obs"] = obs_ctx
+        backend = self._kernel_backend()
+        abort = threading.Event()
+
+        def should_stop() -> bool:
+            return abort.is_set() or (budget is not None and budget.hit())
+
+        chunks = [tasks[start:stop] for start, stop in _chunk_slices(
+            len(tasks), self.n_chunks_per_dispatch)]
+        with trace.span("pool-dispatch", kind=kind, chunks=len(chunks)):
+            # one context copy per chunk, taken inside the span, so
+            # each chunk's spans parent onto this dispatch
+            futures = [self._threads.submit(
+                contextvars.copy_context().run, self._run_chunk, kind,
+                run, chunk, backend, should_stop) for chunk in chunks]
             try:
-                # fail fast if a worker already died: a silently
-                # shrunken pool would still drain the queue, degraded
-                self._check_alive()
-                pending = set()
-                for payload in payloads:
-                    task_id = self._submit(kind, payload)
-                    submit_times[task_id] = time.perf_counter()
-                    pending.add(task_id)
-                if faults.fire("pool.worker.kill"):
-                    self._kill_one_worker()
-                ordered = sorted(pending)
-                results = self._collect(
-                    pending, ack_times if obs_on else None)
-            except BaseException as error:
-                if isinstance(error, WorkerStallError):
-                    _CRASHES.inc(shape="stall")
-                elif isinstance(error, WorkerTaskError):
-                    _CRASHES.inc(shape="task-error")
-                elif isinstance(error, WorkerCrashError):
-                    _CRASHES.inc(shape="crash")
-                else:
-                    _CRASHES.inc(shape="interrupt")
-                self.shutdown()
+                wait(futures)
+            except BaseException:
+                abort.set()
+                for future in futures:
+                    future.cancel()
                 raise
-            if obs_on:
-                self._absorb_obs(results, submit_times, ack_times,
-                                 started)
+            done = [future.result() for future in futures
+                    if future.exception() is None]
+            failed = [future.exception() for future in futures
+                      if future.exception() is not None]
+            if failed:
+                error = failed[0]
+                raise WorkerTaskError(
+                    "a parallel task failed on a pool thread:\n"
+                    + "".join(traceback.format_exception(
+                        type(error), error, error.__traceback__)),
+                    partial_results=[result for result, _ in done])
         wall = time.perf_counter() - started
-        busy = [results[i][1] for i in ordered]
-        # the coordinator-observed queueing overhead: everything the
-        # dispatch spent beyond its busiest chunk's kernel time
-        # (queue put/get, pickling, worker pickup latency)
+        busy = [seconds for _, seconds in done]
+        # the coordinator-observed overhead: everything the dispatch
+        # spent beyond its busiest chunk's kernel time
         queue_wait = max(0.0, wall - (max(busy) if busy else 0.0))
-        record = {
+        self.dispatches.append({
             "kind": kind,
-            "n_tasks": sum(len(p["tasks"]) for p in payloads),
-            "n_chunks": len(payloads),
+            "n_tasks": len(tasks),
+            "n_chunks": len(chunks),
             "chunk_busy_seconds": busy,
             "wall_seconds": wall,
             "queue_wait_seconds": queue_wait,
-        }
-        _DISPATCHES.inc(kind=kind)
-        _DISPATCH_SECONDS.observe(wall, kind=kind)
-        _QUEUE_WAIT_SECONDS.observe(queue_wait)
-        self.dispatches.append(record)
+        })
         if len(self.dispatches) > MAX_DISPATCH_RECORDS:
             del self.dispatches[:len(self.dispatches)
                                 - MAX_DISPATCH_RECORDS]
-        return [results[i][0] for i in ordered]
-
-    def _absorb_obs(self, results: Dict[int, Tuple[dict, float]],
-                    submit_times: Dict[int, float],
-                    ack_times: Dict[int, float],
-                    started: float) -> None:
-        """Fold each chunk's worker-shipped ``"_obs"`` export into the
-        coordinator's observability state.
-
-        Runs *inside* the open ``pool-dispatch`` span: worker spans
-        are spliced under it with their clocks rebased against the
-        chunk's own submit/ack edges, and worker rusage/profile deltas
-        are billed to the current job's resource account.  The export
-        is popped off the result payload so callers never see it.
-        """
-        buffer = trace.current_buffer()
-        parent = trace.current_span_id()
+        _DISPATCHES.inc(kind=kind)
+        _DISPATCH_SECONDS.observe(wall, kind=kind)
+        _QUEUE_WAIT_SECONDS.observe(queue_wait)
         account = accounting.current()
-        now = time.perf_counter()
-        for task_id, (payload, _busy) in results.items():
-            if not isinstance(payload, dict):
-                continue
-            obs = payload.pop("_obs", None)
-            if not obs:
-                continue
-            window = (submit_times.get(task_id, started),
-                      ack_times.get(task_id, now))
-            trace.splice(buffer, obs.get("spans") or (), parent,
-                         window, clock=obs.get("clock"))
-            if account is not None and obs.get("rusage") is not None:
-                utime, stime, maxrss = obs["rusage"]
-                account.add_worker(utime, stime, maxrss,
-                                   obs.get("pid", 0),
-                                   profile=obs.get("profile"))
-
-    def _payload_kernels(self) -> str:
-        """The kernel backend name stamped into chunk payloads: the
-        pool's pinned backend, else whatever backend is active on the
-        coordinator right now (resolved, not ``"auto"`` — workers must
-        not re-decide)."""
-        if self.kernel_backend:
-            return kernels.resolve_backend(self.kernel_backend).name
-        return kernels.active_backend_name()
-
-    @staticmethod
-    def _wall_deadline(deadline: Optional[float]) -> Optional[float]:
-        """Translate a coordinator ``perf_counter`` deadline into the
-        wall-clock currency workers can compare against."""
-        if deadline is None:
-            return None
-        return time.time() + (deadline - time.perf_counter())
+        if account is not None:
+            account.add_pool_chunks(len(chunks), sum(busy))
+        results: Dict = {}
+        timed_out = False
+        for result, _ in done:
+            results.update(result["results"])
+            timed_out |= result["timed_out"]
+        return results, timed_out
 
     # -- level operations ----------------------------------------------
     def run_products(self, parents: Dict[int, StrippedPartition],
                      triples: Sequence[Tuple[int, int, int]],
-                     deadline: Optional[float] = None
+                     budget=None
                      ) -> Tuple[Dict[int, StrippedPartition], bool]:
         """Compute ``Π_left · Π_right`` for every ``(child, left,
-        right)`` triple, sharded across workers.  Returns the products
-        plus a flag set when the cooperative ``deadline`` cut workers
-        short (the dict then covers a subset of the triples).
-
-        Parents are referenced by their live shared replicas (published
-        in batch only if missing — typically just the level-1
-        singletons, since later parents were themselves produced here).
-        Results come back through a pre-allocated writable block sized
-        by the product bound ``||Π_X·Π_Y|| <= min(||Π_X||, ||Π_Y||)``;
-        the coordinator copies them onto the heap and tags each copy
-        with a ref into the retained block, so the next two levels
-        (products, then OCD scans) reuse the replica without another
-        publish.
-        """
+        right)`` triple, sharded across threads.  Returns the products
+        plus a flag set when the cooperative ``budget`` cut chunks
+        short (the dict then covers a subset of the triples)."""
         # contiguous chunks of (left, right)-sorted tasks keep each
-        # parent's derived probe tables (row_to_class) inside as few
-        # chunks as possible — workers rebuild them per chunk
+        # parent's derived probe table (row_to_class) mostly inside one
+        # chunk, so few threads race to build the same table
         triples = sorted(triples, key=lambda t: (t[1], t[2]))
-        needed = {left for _, left, _ in triples}
-        needed.update(right for _, _, right in triples)
-        publish_started = time.perf_counter()
-        parent_refs = self._ensure_shared(
-            {mask: parents[mask] for mask in needed})
-        capacities: Dict[Hashable, int] = {}
-        for child, left, right in triples:
-            bound = min(len(parents[left].rows), len(parents[right].rows))
-            capacities[(child, "r")] = bound
-            capacities[(child, "o")] = bound // 2 + 2
-        out_block = SharedArrayBlock.allocate(capacities)
-        _SHM_BYTES.inc(out_block.nbytes, payload="products")
-        self._retain(out_block)
-        publish_seconds = time.perf_counter() - publish_started
-        wall_deadline = self._wall_deadline(deadline)
 
-        payloads = []
-        for start, stop in _chunk_slices(
-                len(triples), self.n_chunks_per_dispatch):
-            chunk = list(triples[start:stop])
-            chunk_parents = {mask: parent_refs[mask]
-                             for _, left, right in chunk
-                             for mask in (left, right)}
-            out_keys = [key for child, _, _ in chunk
-                        for key in ((child, "r"), (child, "o"))]
-            payloads.append({
-                "parents": chunk_parents,
-                "out": out_block.descriptor(out_keys),
-                "n_rows": self._relation.n_rows,
-                "tasks": chunk,
-                "deadline": wall_deadline,
-                "kernels": self._payload_kernels(),
-            })
-        chunk_results = self._dispatch("products", payloads)
-        self.dispatches[-1]["publish_seconds"] = publish_seconds
-        products: Dict[int, StrippedPartition] = {}
-        timed_out = False
-        n_rows = self._relation.n_rows
-        for result in chunk_results:
-            timed_out |= result["timed_out"]
-            for child, rows_len, offsets_len in result["done"]:
-                rows_off, _cap = out_block.layout[(child, "r")]
-                offs_off, _ocap = out_block.layout[(child, "o")]
-                rows = np.array(out_block.raw(rows_off, rows_len))
-                offsets = np.array(out_block.raw(offs_off, offsets_len))
-                partition = StrippedPartition.from_flat(
-                    rows, offsets, n_rows)
-                partition._shm_ref = (out_block.name, rows_off, rows_len,
-                                      offs_off, offsets_len)
-                products[child] = partition
-        return products, timed_out
+        def run(chunk, should_stop):
+            products: Dict[int, StrippedPartition] = {}
+            for child, left, right in chunk:
+                if should_stop():
+                    break
+                products[child] = parents[left].product(parents[right])
+            return products
+
+        return self._dispatch("products", run, triples, budget)
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
-                  tasks: Sequence[ScanTask],
-                  deadline: Optional[float] = None
+                  tasks: Sequence[ScanTask], budget=None
                   ) -> Tuple[Dict[Hashable, bool], bool]:
-        """Validation scans over published context partitions.
+        """Validation scans over known context partitions.
 
-        ``tasks`` are ``(key, context_key, mode, a, b)`` with mode
-        ``"swap"`` (OCD) or ``"const"`` (FD); returns per-key verdicts
-        plus a flag set when the cooperative deadline cut workers short
-        (verdicts then cover a prefix of each chunk).
-
-        Contexts with a live shared replica (anything a products
-        dispatch built two levels ago) are referenced in place; only
-        the rest are published.  Tasks are grouped by context before
-        chunking so each worker rebuilds a context's derived state at
-        most once.
-        """
-        publish_started = time.perf_counter()
-        context_refs = self._ensure_shared(contexts)
-        publish_seconds = time.perf_counter() - publish_started
-        wall_deadline = self._wall_deadline(deadline)
+        ``tasks`` are ``(key, context_key, mode, a, b)`` with a mode
+        :func:`repro.core.validation.scan_verdict` accepts; returns
+        per-key verdicts plus a flag set when the cooperative budget cut
+        chunks short (verdicts then cover a prefix of each chunk).
+        Tasks are grouped by context before chunking so a context's
+        derived state is mostly built by one thread."""
+        columns = self._relation.ranks
         tasks = sorted(tasks, key=lambda t: (repr(t[1]), repr(t[0])))
-        payloads = []
-        for start, stop in _chunk_slices(
-                len(tasks), self.n_chunks_per_dispatch):
-            chunk = list(tasks[start:stop])
-            payloads.append({
-                "columns": self._columns_descriptor,
-                "contexts": {context_key: context_refs[context_key]
-                             for _, context_key, _, _, _ in chunk},
-                "tasks": chunk,
-                "deadline": wall_deadline,
-                "kernels": self._payload_kernels(),
-            })
-        chunk_results = self._dispatch("scans", payloads)
-        self.dispatches[-1]["publish_seconds"] = publish_seconds
-        verdicts: Dict[Hashable, bool] = {}
-        timed_out = False
-        for result in chunk_results:
-            timed_out |= result["timed_out"]
-            verdicts.update(result["verdicts"])
-        return verdicts, timed_out
+
+        def run(chunk, should_stop):
+            verdicts: Dict[Hashable, bool] = {}
+            for key, context_key, mode, a, b in chunk:
+                if should_stop():
+                    break
+                verdicts[key] = _scan_verdict(mode, columns, a, b,
+                                              contexts[context_key])
+            return verdicts
+
+        return self._dispatch("scans", run, tasks, budget)
+
+    def _thread_cache(self, relation: EncodedRelation) -> PartitionCache:
+        """This thread's partition cache over ``relation``."""
+        local = self._local
+        if getattr(local, "relation", None) is not relation:
+            local.relation = relation
+            local.cache = PartitionCache(
+                relation, max_entries=VALIDATION_CACHE_ENTRIES)
+        return local.cache
 
     def run_validations(self, tasks: Sequence[Tuple[Hashable, int, str,
                                                     int, int]],
-                        deadline: Optional[float] = None
+                        budget=None
                         ) -> Tuple[Dict[Hashable, bool], bool]:
         """Ad-hoc context validation (the hybrid escalation waves):
-        ``(key, context_mask, mode, a, b)`` tasks; workers derive the
-        context partition from their own shared-column
-        :class:`PartitionCache`."""
-        wall_deadline = self._wall_deadline(deadline)
-        payloads = [{
-            "columns": self._columns_descriptor,
-            "tasks": list(tasks[start:stop]),
-            "deadline": wall_deadline,
-            "kernels": self._payload_kernels(),
-        } for start, stop in _chunk_slices(
-            len(tasks), self.n_chunks_per_dispatch)]
-        chunk_results = self._dispatch("validations", payloads)
-        self.dispatches[-1]["publish_seconds"] = 0.0
-        verdicts: Dict[Hashable, bool] = {}
-        timed_out = False
-        for result in chunk_results:
-            timed_out |= result["timed_out"]
-            verdicts.update(result["verdicts"])
-        return verdicts, timed_out
+        ``(key, context_mask, mode, a, b)`` tasks; each thread derives
+        context partitions from its own :class:`PartitionCache`."""
+        relation = self._relation
+
+        def run(chunk, should_stop):
+            cache = self._thread_cache(relation)
+            verdicts: Dict[Hashable, bool] = {}
+            for key, mask, mode, a, b in chunk:
+                if should_stop():
+                    break
+                context = None if mode == "pointwise" else cache.get(mask)
+                verdicts[key] = _scan_verdict(mode, relation.ranks, a, b,
+                                              context)
+            return verdicts
+
+        return self._dispatch("validations", run, list(tasks), budget)
 
     def run_class_scan(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition,
-                       deadline: Optional[float] = None
+                       partition: StrippedPartition, budget=None
                        ) -> Tuple[bool, bool]:
         """One big scan sharded by context class (the single-dependency
         path behind ``check``/``violations`` and incremental
         revalidation).  Classes are split into contiguous chunks of
         near-equal grouped rows; each chunk is a valid stripped
-        partition in its own right, so workers run the stock kernels.
+        partition in its own right, so threads run the stock kernels.
         Returns ``(verdict, timed_out)``."""
         offsets = partition.offsets
         n_chunks = max(1, min(self.workers * 2, partition.n_classes))
@@ -1051,14 +423,13 @@ class WorkerPool:
             lo, hi = class_bounds[index], class_bounds[index + 1]
             if lo >= hi:
                 continue
-            chunk = StrippedPartition.from_flat(
+            contexts[index] = StrippedPartition.from_flat(
                 partition.rows[offsets[lo]:offsets[hi]],
                 offsets[lo:hi + 1] - offsets[lo], partition.n_rows)
-            contexts[index] = chunk
             tasks.append((index, index, mode, a, b))
         if not tasks:
             return True, False
-        verdicts, timed_out = self.run_scans(contexts, tasks, deadline)
+        verdicts, timed_out = self.run_scans(contexts, tasks, budget)
         return all(verdicts.values()), timed_out
 
     # -- reporting ------------------------------------------------------
@@ -1075,48 +446,5 @@ class WorkerPool:
             "wall_seconds": sum(d["wall_seconds"]
                                 for d in self.dispatches),
             "queue_wait_seconds": sum(
-                d.get("queue_wait_seconds", 0.0)
-                for d in self.dispatches),
+                d["queue_wait_seconds"] for d in self.dispatches),
         }
-
-
-class ClassScanPool:
-    """Legacy shim over the engine executors' class-sharded scan gate.
-
-    Historically this class owned the "serial kernel below the
-    thresholds, lazily pooled :meth:`WorkerPool.run_class_scan`
-    above" decision for :class:`repro.core.validation
-    .CanonicalValidator`, the violation detector, and the incremental
-    append path.  Those consumers now build an executor via
-    :func:`repro.engine.make_executor`; this wrapper delegates to the
-    same code so the policy (including crashed-pool rebuild) exists
-    exactly once.  New code should use the executor directly.
-    """
-
-    def __init__(self, relation: EncodedRelation,
-                 workers: Optional[int],
-                 threshold: Optional[int] = None):
-        from repro.engine.executors import make_executor
-
-        self.workers = resolve_workers(workers)
-        self._executor = make_executor(relation, workers=workers,
-                                       min_grouped_rows=threshold)
-
-    @property
-    def relation(self) -> EncodedRelation:
-        return self._executor.relation
-
-    def rebase(self, relation: EncodedRelation) -> None:
-        """Follow a grown relation (incremental appends)."""
-        self._executor.rebase(relation)
-
-    def close(self) -> None:
-        self._executor.close()
-
-    def scan(self, mode: str, a: int, b: int,
-             partition: StrippedPartition) -> bool:
-        """Verdict of one ``"swap"``/``"const"`` scan over
-        ``partition`` — pooled when big enough, serial otherwise."""
-        return self._executor.scan_partition(mode, a, b, partition)
-
-

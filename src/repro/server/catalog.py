@@ -255,7 +255,7 @@ class DatasetCatalog:
         """The entry's delta-maintenance engine, created on first use.
 
         ``pool`` is the scheduler's shared :class:`WorkerPool`; it is
-        injected so append scans run on the same workers as every
+        injected so append scans run on the same threads as every
         other job.  The engine's config is fixed at creation — later
         appends reuse it regardless of per-request config (the result
         store key records which config the maintained result answers).

@@ -270,9 +270,7 @@ class ODService:
         catalog = self.catalog.stats()
         store = self.store.stats()
         return {
-            "status": ("degraded" if scheduler["degraded"] else "ok"),
-            "degraded": scheduler["degraded"],
-            "degraded_reason": scheduler["degraded_reason"],
+            "status": "ok",
             "uptime_seconds": time.monotonic() - self._started,
             "queue_depth": scheduler["queued"],
             "catalog_resident_bytes": catalog["resident_bytes"],

@@ -8,8 +8,8 @@ not a limitation:
   (discover products/scans, append-path re-scans, big validate
   checks).  A pool is bound to one encoded relation at a time, so the
   runner rebases it per job — safe precisely because execution is
-  serialised — and process workers, published columns, and shared
-  segments are paid for once per server instead of once per request;
+  serialised — and its threads are started once per server instead of
+  once per request;
 * intra-job parallelism (the level-wise sharding of PR 3/4) already
   uses every core; running two discoveries concurrently would only
   interleave their pool dispatches;
@@ -81,17 +81,9 @@ CACHED_EXECUTOR_STATS = {
     "workers": 0,
     "peak_residency_bytes": 0,
     "retries": 0,
-    "rebuilds": 0,
     "degraded": False,
     "phases": {},
 }
-
-#: Shared-pool rebuilds within :data:`DEGRADE_WINDOW_SECONDS` before
-#: the scheduler stops trusting process workers and pins itself to
-#: serial execution (graceful degradation: slower, but every job
-#: still completes and ``/health`` says why).
-DEGRADE_REBUILD_THRESHOLD = 3
-DEGRADE_WINDOW_SECONDS = 60.0
 
 #: Terminal jobs retained in the ledger.  A long-lived server must
 #: not pin every historical result payload in memory; the oldest
@@ -162,14 +154,14 @@ class Job:
         #: span export of this job's run (``GET /jobs/<id>/trace``);
         #: ``None`` until the job actually ran on the runner thread
         self.trace: Optional[List[Dict]] = None
-        #: correlation id tying this job's spans, worker exports, and
-        #: event lines together
+        #: correlation id tying this job's spans and event lines
+        #: together
         self.trace_id = trace.new_trace_id()
         #: collapsed flamegraph text (``GET /jobs/<id>/profile``);
         #: ``None`` until the job ran with observability enabled
         self.profile: Optional[str] = None
-        #: per-job resource accounting — coordinator + worker rusage,
-        #: shm/zero-copy bytes, task counts (``GET /jobs/<id>``)
+        #: per-job resource accounting — process CPU/RSS plus the pool
+        #: chunks run for the job (``GET /jobs/<id>``)
         self.resources: Optional[Dict] = None
         self._done = threading.Event()
         #: the runner thread sets this while it owns the job so that
@@ -252,11 +244,7 @@ class JobScheduler:
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-        self.pool_rebuilds = 0
         self.journal_errors = 0
-        self._rebuild_times: List[float] = []
-        self._degraded = False
-        self._degraded_reason: Optional[str] = None
         self._runner = threading.Thread(
             target=self._run_loop, name="repro-od-jobs", daemon=True)
         self._runner.start()
@@ -308,8 +296,12 @@ class JobScheduler:
             if not isinstance(rows, (list, tuple)) or not rows:
                 raise JobError(
                     "append jobs need a non-empty 'rows' list")
-        # resolve forwards now so the job is pinned to live content
+        # resolve forwards now so the job is pinned to live content;
+        # read the entry's fingerprint once — a delta commit on the
+        # runner thread re-keys the entry in place, and the job label,
+        # journal record and store lookup must all name one version
         entry = self._catalog.get(fingerprint)
+        live_fp = entry.fingerprint
         if kind == "delta":
             # parse against the entry's arity now, and normalise the
             # convenience lists (inserts/deletes/updates) into one
@@ -325,16 +317,15 @@ class JobScheduler:
             params["ops"] = batch.to_dict()["ops"]
         with self._lock:
             self._next_id += 1
-            job = Job(f"job-{self._next_id}", kind, entry.fingerprint,
-                      params)
+            job = Job(f"job-{self._next_id}", kind, live_fp, params)
             self._jobs[job.id] = job
             self._order.append(job.id)
             self._prune_finished()
         _SUBMITTED.inc(kind=kind)
-        self._journal_event("job_submitted", job.id, kind,
-                            entry.fingerprint, params)
+        self._journal_event("job_submitted", job.id, kind, live_fp,
+                            params)
         if kind == "discover":
-            cached = self._store.get(entry.fingerprint, config)
+            cached = self._store.get(live_fp, config)
             if cached is not None:
                 job.cached = True
                 job.started_at = time.time()
@@ -447,19 +438,10 @@ class JobScheduler:
             "queued": self._queue.qsize(),
             "workers": self._workers,
             "pool_started": self._pool is not None,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded": self._degraded,
-            "degraded_reason": self._degraded_reason,
             "journal": (str(self._journal.path)
                         if self._journal is not None else None),
             "journal_errors": self.journal_errors,
         }
-
-    @property
-    def degraded(self) -> bool:
-        """True once repeated pool crashes pinned the scheduler to
-        serial execution (see :data:`DEGRADE_REBUILD_THRESHOLD`)."""
-        return self._degraded
 
     def close(self) -> None:
         """Stop the runner thread and shut the shared pool down."""
@@ -486,53 +468,14 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def _shared_pool(self, encoded) -> Optional[WorkerPool]:
         """The one pool every job shares, rebased onto this job's
-        relation.  ``None`` when the server runs serial — including
-        *degraded* serial, after repeated crash-rebuilds."""
+        relation.  ``None`` when the server runs serial."""
         if self._workers < 2:
-            return None
-        if self._pool is not None and self._pool.closed:
-            self._pool = None           # a crashed dispatch tore it down
-            self._note_rebuild()
-        if self._degraded:
             return None
         if self._pool is None:
             self._pool = WorkerPool(encoded, self._workers)
         elif self._pool.relation is not encoded:
             self._pool.rebase(encoded)
         return self._pool
-
-    def _note_rebuild(self) -> None:
-        """Count one crash-forced pool rebuild; past the threshold
-        within the window, pin the scheduler to serial execution."""
-        self.pool_rebuilds += 1
-        now = time.time()
-        self._rebuild_times.append(now)
-        self._rebuild_times = [
-            t for t in self._rebuild_times
-            if now - t <= DEGRADE_WINDOW_SECONDS]
-        events.emit("scheduler.pool_rebuild",
-                    rebuilds=self.pool_rebuilds,
-                    recent=len(self._rebuild_times))
-        if (not self._degraded
-                and len(self._rebuild_times)
-                >= DEGRADE_REBUILD_THRESHOLD):
-            self._degraded = True
-            self._degraded_reason = (
-                f"{len(self._rebuild_times)} worker-pool rebuilds "
-                f"within {DEGRADE_WINDOW_SECONDS:.0f}s; execution "
-                f"pinned to serial")
-            events.emit("scheduler.degraded",
-                        reason=self._degraded_reason)
-
-    def _job_config(self, job: Job) -> FastODConfig:
-        """The job's requested config — forced to ``workers=1`` when
-        the scheduler is degraded.  Safe for the result-store key:
-        ``workers`` is a work-shaping knob ``canonical_key`` excludes,
-        so degraded and healthy runs share cache entries."""
-        params = dict(job.params.get("config") or {})
-        if self._degraded:
-            params["workers"] = 1
-        return config_from_params(params)
 
     def _run_loop(self) -> None:
         while True:
@@ -563,9 +506,8 @@ class JobScheduler:
             buffer = trace.TraceBuffer(trace_id=job.trace_id)
             obs_on = metrics.enabled()
             account = accounting.ResourceAccount() if obs_on else None
-            # a dedicated per-job profiler targeting this runner
-            # thread — NOT the ambient one, whose fork hook belongs to
-            # pool workers
+            # a per-job profiler targeting this runner thread; pool
+            # threads join it while they run this job's chunks
             prof = profiler.SamplingProfiler() if obs_on else None
             if prof is not None:
                 prof.start()
@@ -576,11 +518,16 @@ class JobScheduler:
                 pinned = self._catalog.get(job.fingerprint)
                 self._catalog.pin(pinned)
                 handler = getattr(self, f"_run_{job.kind}")
-                with trace.collect(buffer):
-                    with accounting.track(account):
-                        with trace.span("job", kind=job.kind,
-                                        job=job.id):
-                            handler(job)
+                with trace.collect(buffer), \
+                        accounting.track(account), \
+                        profiler.track(prof), \
+                        trace.span("job", kind=job.kind, job=job.id):
+                    handler(job)
+            except ReproError as error:
+                # a typed error (bad dependency, unknown attribute, bad
+                # delta) is the whole story: no traceback
+                job.error = f"{type(error).__name__}: {error}"
+                job._finish("failed")
             except Exception as error:   # noqa: BLE001 — job isolation
                 job.error = (
                     f"{type(error).__name__}: {error}\n"
@@ -591,11 +538,7 @@ class JobScheduler:
                 if prof is not None:
                     prof.stop()
                 if account is not None:
-                    counts = prof.counts()
-                    profiler.merge_counts(counts,
-                                          account.worker_profile,
-                                          prefix="worker")
-                    job.profile = profiler.render_folded(counts)
+                    job.profile = prof.render()
                     job.resources = account.finish()
                 if pinned is not None:
                     self._catalog.unpin(pinned)
@@ -621,7 +564,7 @@ class JobScheduler:
 
     def _run_discover(self, job: Job) -> None:
         entry = self._catalog.get(job.fingerprint)
-        config = self._job_config(job)
+        config = config_from_params(job.params.get("config"))
         result = self._store.get(entry.fingerprint, config)
         if result is not None:          # stored while we were queued
             job.cached = True
@@ -645,8 +588,8 @@ class JobScheduler:
             raise JobError(f"{job.kind} jobs need a 'dependency'")
         pool = self._shared_pool(entry.encoded)
         detector = ViolationDetector(
-            entry.relation, cache=entry.cache,
-            workers=1 if self._degraded else self._workers, pool=pool)
+            entry.relation, cache=entry.cache, workers=self._workers,
+            pool=pool)
         try:
             report = detector.check(
                 dependency, max_witnesses=max_witnesses,
@@ -710,7 +653,7 @@ class JobScheduler:
         (the old key now forwards to mutated content, so serving its
         cached ODs would be silently stale).
         """
-        config = self._job_config(job)
+        config = config_from_params(job.params.get("config"))
         pool = self._shared_pool(entry.encoded)
         engine = self._catalog.ensure_incremental(
             entry.fingerprint, config, pool=pool)
@@ -743,8 +686,6 @@ class JobScheduler:
 
 __all__ = [
     "CACHED_EXECUTOR_STATS",
-    "DEGRADE_REBUILD_THRESHOLD",
-    "DEGRADE_WINDOW_SECONDS",
     "JOB_KINDS",
     "Job",
     "JobError",

@@ -17,7 +17,8 @@ client:
 
 interrupt the server with SIGINT and assert the hygiene contract:
 exit code 130, **no leaked shared-memory segments**, and **no orphan
-worker processes** (every child alive during the run must be gone).
+child processes** (the pool runs on threads, so any child alive
+during the run must be gone too).
 
 A second phase boots a journaled server, streams a delta, ``kill
 -9``s it mid-flight, reboots on the same ``--journal-dir``, and
@@ -27,7 +28,7 @@ of the delta WAL, exercised against a real process.
 
 This is the CI gate for the service layer; it runs with
 ``REPRO_WORKERS=2`` so the shared pool really exists and really gets
-torn down.  Exit status 0 = green.
+shut down.  Exit status 0 = green.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def pid_alive(pid: int) -> bool:
 
 
 def wait_for_exit(pids: List[int], timeout: float = 10.0) -> List[int]:
-    """PIDs still alive after ``timeout`` (dying workers get a bounded
-    grace period — process teardown is asynchronous)."""
+    """PIDs still alive after ``timeout`` (dying children get a
+    bounded grace period — process teardown is asynchronous)."""
     deadline = time.monotonic() + timeout
     remaining = list(pids)
     while remaining and time.monotonic() < deadline:
@@ -131,7 +132,7 @@ def main() -> int:
                              f"{fp[:12]}…")
 
         # force pool dispatch (the dataset sits below the grouped-rows
-        # threshold) so the trace check below sees real worker spans —
+        # threshold) so the trace check below sees real pool spans —
         # work-shaping config never changes the answer
         cold = client.discover(
             fp, config={"workers": 2, "parallel_min_grouped_rows": 0})
@@ -192,32 +193,35 @@ def main() -> int:
         check(client.trace(warm["id"])["spans"] == [],
               "cached job trace is empty (no traversal)")
 
+        by_id = {s["id"]: s for s in spans}
         task_spans = [s for s in spans if s["name"] == "task"]
-        check(task_spans and all(s["pid"] != server.pid
-                                 for s in task_spans),
-              "worker task spans spliced into the job trace "
-              f"({len(task_spans)} tasks)")
+        check(task_spans and all(
+            by_id[s["parent"]]["name"] == "pool-dispatch"
+            for s in task_spans),
+            "pool task spans nest under their dispatch span "
+            f"({len(task_spans)} tasks)")
         folded = client.profile(cold["id"])
         check(bool(folded.strip()) and all(
             line.rsplit(" ", 1)[1].isdigit()
             for line in folded.splitlines()),
             "GET /jobs/{id}/profile returns collapsed stacks "
             f"({len(folded.splitlines())} lines)")
+        check(any(line.startswith("worker;")
+                  for line in folded.splitlines()),
+              "the profile includes stacks sampled on pool threads")
 
         cold_job = client.job(cold["id"])
         resources = cold_job.get("resources") or {}
         check(resources.get("cpu_user_seconds", -1.0) >= 0.0
               and resources.get("max_rss_bytes", 0) > 0,
               "per-job rusage covers CPU and peak RSS")
-        check(resources.get("workers", {}).get("processes", 0) >= 1
-              and resources.get("shm_bytes", 0) > 0,
-              "worker processes and shm bytes billed to the job")
+        check(resources.get("pool_chunks", 0) >= 1,
+              "pool chunks billed to the job")
         check(cold_job.get("trace_id") and "resources"
               in stats and "self" in stats["resources"],
               "trace ids and process rusage exposed")
 
-        # the pool exists now — remember the worker pids for the
-        # orphan check
+        # remember any child processes for the orphan check
         workers = child_pids(server.pid)
 
         batch = [[int(v) for v in relation.row(i)] for i in range(20)]
@@ -283,7 +287,7 @@ def main() -> int:
     leaked = shm_segments() - shm_before
     check(not leaked, f"no leaked shm segments {sorted(leaked) or ''}")
     orphans = wait_for_exit(workers)
-    check(not orphans, f"no orphan worker processes {orphans or ''}")
+    check(not orphans, f"no orphan child processes {orphans or ''}")
 
     crash_recovery_phase(env)
     print("smoke suite green")

@@ -10,7 +10,7 @@ canonical image.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import FrozenSet, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from repro.core.od import (
     OrderCompatibility,
 )
 from repro.core.parser import parse
+from repro.errors import SchemaError
 from repro.core.validation import (
     CanonicalValidator,
     Split,
@@ -186,7 +187,7 @@ class ViolationDetector:
 
     ``workers`` routes big hold-checks through the unified engine's
     pooled executor, which shards them by context class across a
-    shared-memory worker pool (see
+    worker thread pool (see
     :class:`repro.core.validation.CanonicalValidator`); witness
     extraction and pair counting stay on the coordinator.
     """
@@ -222,10 +223,18 @@ class ViolationDetector:
         """Full violation report for one dependency.
 
         Strings are parsed first; list ODs are decomposed through
-        Theorem 5 and reported with per-part sub-reports.
+        Theorem 5 and reported with per-part sub-reports.  Raises
+        :class:`~repro.errors.SchemaError` when the dependency names an
+        attribute the relation does not have.
         """
         if isinstance(dependency, str):
             dependency = parse(dependency)
+        unknown = sorted(_mentioned(dependency) - set(self._index))
+        if unknown:
+            raise SchemaError(
+                f"unknown attribute(s) {', '.join(unknown)} in "
+                f"{dependency}; the relation has "
+                f"{', '.join(self._encoded.names)}")
         if isinstance(dependency, CanonicalFD):
             return self._check_fd(dependency, max_witnesses, count_pairs)
         if isinstance(dependency, CanonicalOCD):
@@ -297,6 +306,20 @@ class ViolationDetector:
             (report.n_violating_pairs for report in sub_reports), default=0)
         return ViolationReport(label, holds, pair_count, witnesses,
                                parts=sub_reports)
+
+
+def _mentioned(dependency) -> FrozenSet[str]:
+    """Every attribute name ``dependency`` refers to (empty for an
+    unsupported object, which :meth:`ViolationDetector.check`
+    rejects on its own)."""
+    if isinstance(dependency, CanonicalFD):
+        return frozenset(dependency.context) | {dependency.attribute}
+    if isinstance(dependency, CanonicalOCD):
+        return (frozenset(dependency.context)
+                | {dependency.left, dependency.right})
+    if isinstance(dependency, (ListOD, OrderCompatibility)):
+        return dependency.lhs.as_set | dependency.rhs.as_set
+    return frozenset()
 
 
 def check_dependency(relation: Relation, dependency: Dependency,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import CanonicalValidator, parse
@@ -73,6 +75,29 @@ class TestWidthExtension:
     def test_narrow_schemas(self, generator):
         rel = generator(n_rows=50, n_attrs=3)
         assert rel.arity == 3
+
+
+@pytest.mark.parametrize("family", dataset_names())
+def test_every_width_up_to_16_generates(family):
+    # each extra "drv" column derives from a randomly drawn source
+    # column, string-valued sources included
+    for n_attrs in range(1, 17):
+        for n_rows, seed in itertools.product((1, 40), (1, 2, 42)):
+            rel = make_dataset(family, n_rows=n_rows, n_attrs=n_attrs,
+                               seed=seed)
+            assert len(set(rel.names)) == rel.arity
+
+
+def test_ncvoter_drv_over_string_source():
+    rel = make_dataset("ncvoter", n_rows=10_000, n_attrs=16, seed=42)
+    assert rel.arity == 16
+    drv = [name for name in rel.names if name.startswith("drv")]
+    assert drv
+    # a derived column is a function of some base column
+    validator = CanonicalValidator(rel.encode())
+    for name in drv:
+        assert any(validator.holds(parse(f"{{{base}}}: [] -> {name}"))
+                   for base in rel.names if base != name), name
 
 
 class TestHepatitis:

@@ -2,7 +2,7 @@
 
 Every test runs with a clean fault registry and must leave
 ``/dev/shm`` exactly as it found it — a recovery path that survives a
-crash but leaks the crashed pool's segments has not recovered.
+failure but leaks shared-memory segments has not recovered.
 """
 
 from __future__ import annotations

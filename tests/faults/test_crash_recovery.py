@@ -6,9 +6,8 @@ interrupted job must surface as terminal ``crashed``, and a resubmit
 must complete.  SIGKILL skips every ``finally`` — which is the point:
 only the fsync'd journal survives.
 
-The server runs ``--workers 1`` so SIGKILL has no pooled worker
-processes to orphan (the seed's kill tests cover pool teardown; this
-one covers the ledger).
+The server runs ``--workers 1``: this test covers the ledger, not the
+pool.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ def firing_sequence(plan: FaultPlan, site: str, visits: int):
 
 class TestFaultPlan:
     def test_same_seed_same_schedule(self):
-        a = FaultPlan(seed=7, rates={"pool.worker.kill": 0.5})
-        b = FaultPlan(seed=7, rates={"pool.worker.kill": 0.5})
-        assert (firing_sequence(a, "pool.worker.kill", 50)
-                == firing_sequence(b, "pool.worker.kill", 50))
+        a = FaultPlan(seed=7, rates={"worker.task": 0.5})
+        b = FaultPlan(seed=7, rates={"worker.task": 0.5})
+        assert (firing_sequence(a, "worker.task", 50)
+                == firing_sequence(b, "worker.task", 50))
 
     def test_different_seeds_differ(self):
         sequences = {
@@ -33,19 +33,19 @@ class TestFaultPlan:
         """Visits to one site never perturb another site's schedule —
         the property that lets a new injection point land in the code
         without rewriting every chaos test's expectations."""
-        rates = {"pool.worker.kill": 0.5, "worker.task": 0.5}
+        rates = {"store.write": 0.5, "worker.task": 0.5}
         alone = FaultPlan(seed=3, rates=rates)
         expected = firing_sequence(alone, "worker.task", 30)
         interleaved = FaultPlan(seed=3, rates=rates)
         got = []
         for _ in range(30):
-            interleaved.fire("pool.worker.kill")
+            interleaved.fire("store.write")
             got.append(interleaved.fire("worker.task"))
         assert got == expected
 
     def test_rate_zero_never_fires(self):
         plan = FaultPlan(seed=1)
-        assert not any(firing_sequence(plan, "shm.attach", 100))
+        assert not any(firing_sequence(plan, "deltalog.append", 100))
         assert plan.fired == {}
 
     def test_rate_one_always_fires(self):
@@ -62,7 +62,7 @@ class TestFaultPlan:
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan(rates={"pool.worker.kil": 1.0})
+            FaultPlan(rates={"worker.tsk": 1.0})
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan(limits={"nope": 1})
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -72,13 +72,13 @@ class TestFaultPlan:
         plan = FaultPlan.from_json(
             '{"seed": 9, "rates": {"worker.task": 1.0},'
             ' "limits": {"worker.task": 2},'
-            ' "delays": {"pool.queue.delay": 0.01}}')
+            ' "delays": {"jobs.start.delay": 0.01}}')
         assert plan.seed == 9
         assert plan.rates == {"worker.task": 1.0}
         assert plan.limits == {"worker.task": 2}
-        assert plan.delay_seconds("pool.queue.delay") == 0.01
+        assert plan.delay_seconds("jobs.start.delay") == 0.01
         # sites without an explicit delay use the default
-        assert (plan.delay_seconds("jobs.start.delay")
+        assert (plan.delay_seconds("budget.cancel")
                 == faults.DEFAULT_DELAY_SECONDS)
 
     def test_log_records_firing_order(self):
@@ -91,9 +91,9 @@ class TestFaultPlan:
 class TestActivation:
     def test_no_plan_is_inert(self):
         assert faults.active_plan() is None
-        assert faults.fire("pool.worker.kill") is False
-        faults.maybe_raise("shm.attach", "never raised")
-        faults.maybe_sleep("pool.queue.delay")
+        assert faults.fire("worker.task") is False
+        faults.maybe_raise("deltalog.append", "never raised")
+        faults.maybe_sleep("jobs.start.delay")
 
     def test_injected_context_restores_previous(self):
         assert faults.active_plan() is None
@@ -128,10 +128,10 @@ class TestActivation:
 
 class TestHooks:
     def test_maybe_raise_tags_the_site(self):
-        with faults.injected(FaultPlan(rates={"shm.attach": 1.0})):
+        with faults.injected(FaultPlan(rates={"deltalog.append": 1.0})):
             with pytest.raises(FaultInjected,
-                               match=r"\[fault:shm.attach\] torn"):
-                faults.maybe_raise("shm.attach", "torn")
+                               match=r"\[fault:deltalog.append\] torn"):
+                faults.maybe_raise("deltalog.append", "torn")
 
     def test_maybe_raise_custom_exception(self):
         with faults.injected(FaultPlan(rates={"store.write": 1.0})):
@@ -140,10 +140,10 @@ class TestHooks:
                                    exc_type=OSError)
 
     def test_maybe_sleep_uses_plan_delay(self):
-        plan = FaultPlan(rates={"pool.queue.delay": 1.0},
-                         delays={"pool.queue.delay": 0.05})
+        plan = FaultPlan(rates={"jobs.start.delay": 1.0},
+                         delays={"jobs.start.delay": 0.05})
         with faults.injected(plan):
             started = time.monotonic()
-            faults.maybe_sleep("pool.queue.delay")
+            faults.maybe_sleep("jobs.start.delay")
             assert time.monotonic() - started >= 0.04
-        assert plan.fired["pool.queue.delay"] == 1
+        assert plan.fired["jobs.start.delay"] == 1

@@ -1,17 +1,16 @@
-"""Crash recovery at the executor layer.
+"""Task-failure recovery at the executor layer.
 
-One injected worker crash must cost a retry, never an answer: the
-rebuilt pool re-runs only unacknowledged tasks and the merged verdicts
-are byte-identical to a clean run.  Faults that re-fire in every
-rebuilt worker process exhaust the per-batch crash budget instead and
-land in the serial quarantine — which also must agree with the clean
-run, because the serial kernels never touch the failure surface.
+One injected task failure on a pool thread must cost a retry, never an
+answer: the chunks that finished are kept, the unfinished tasks of the
+batch re-run on the serial path, the executor is marked degraded, and
+the merged results are byte-identical to a clean run.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -20,11 +19,7 @@ from repro.datasets import make_dataset
 from repro.engine import DeadlineBudget, PoolExecutor, ProductTask
 from repro.engine.executors import SerialExecutor
 from repro.faults import FaultPlan
-from repro.parallel.pool import (
-    WorkerCrashError,
-    WorkerPool,
-    WorkerStallError,
-)
+from repro.parallel.pool import WorkerPool, WorkerTaskError
 from repro.partitions.partition import StrippedPartition
 
 
@@ -50,7 +45,7 @@ def scan_tasks(encoded):
 
 
 def one_shot(site: str, **kwargs) -> FaultPlan:
-    """A plan that fires ``site`` exactly once per process."""
+    """A plan that fires ``site`` exactly once."""
     return FaultPlan(seed=0, rates={site: 1.0}, limits={site: 1},
                      **kwargs)
 
@@ -68,51 +63,31 @@ def canonical(result_dict):
     return stripped
 
 
-def dispatch_until_crash(encoded, dispatch, attempts=20):
-    """Arm a one-shot worker kill and run ``dispatch`` until the kill
-    provably landed mid-dispatch (``retries >= 1``).
-
-    The kill races the victim's task pickup: a worker SIGKILL'd while
-    still idle loses nothing, the survivor drains the queue, and the
-    dispatch finishes cleanly — so a single armed attempt cannot
-    guarantee a crash was *recovered from*, only that one was
-    injected.  Re-arming a fresh plan per attempt keeps each attempt
-    a deterministic one-shot.
-    """
-    for _ in range(attempts):
-        with faults.injected(one_shot("pool.worker.kill")) as plan:
-            with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
-                out = dispatch(ex)
-                stats = ex.telemetry.snapshot()
-        assert plan.fired.get("pool.worker.kill") == 1
-        if stats["retries"] >= 1:
-            return out, stats
-    pytest.fail(f"worker kill never landed mid-dispatch in "
-                f"{attempts} attempts")
-
-
 class TestExecutorRecovery:
-    """PoolExecutor dispatch batches survive injected failures."""
+    """PoolExecutor dispatch batches survive injected task failures."""
 
-    def test_worker_kill_scans_byte_identical(self, encoded):
+    def test_worker_task_fault_quarantines_to_serial(self, encoded):
         contexts = singleton_partitions(encoded)
         tasks = scan_tasks(encoded)
         budget = DeadlineBudget.unlimited()
         clean, _ = SerialExecutor(encoded).run_scans(
             dict(contexts), list(tasks), budget)
-        (verdicts, timed_out), stats = dispatch_until_crash(
-            encoded,
-            lambda ex: ex.run_scans(dict(contexts), list(tasks),
-                                    budget))
+        with faults.injected(one_shot("worker.task")) as plan:
+            with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
+                verdicts, timed_out = ex.run_scans(
+                    dict(contexts), list(tasks), budget)
+                stats = ex.telemetry.snapshot()
+        assert plan.fired == {"worker.task": 1}
         assert not timed_out
         assert verdicts == clean
-        assert stats["retries"] >= 1
-        assert stats["rebuilds"] >= 1
-        assert not stats["degraded"]
+        assert stats["retries"] == 1
+        assert stats["degraded"] is True
+        # the failed chunk's tasks, and only those, ran serially
+        scans = stats["phases"]["scans"]
+        assert scans["tasks"] == len(tasks)
+        assert 0 < scans["serial_tasks"] < len(tasks)
 
-    def test_worker_kill_products_byte_identical(self, encoded):
-        import numpy as np
-
+    def test_worker_task_fault_products_byte_identical(self, encoded):
         parents = singleton_partitions(encoded)
         tasks = [ProductTask((1 << a) | (1 << b), 1 << a, 1 << b)
                  for a in range(encoded.arity)
@@ -120,119 +95,54 @@ class TestExecutorRecovery:
         budget = DeadlineBudget.unlimited()
         clean, _ = SerialExecutor(encoded).run_products(
             dict(parents), list(tasks), budget)
-        (products, timed_out), stats = dispatch_until_crash(
-            encoded,
-            lambda ex: ex.run_products(dict(parents), list(tasks),
-                                       budget))
+        with faults.injected(one_shot("worker.task")):
+            with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
+                products, timed_out = ex.run_products(
+                    dict(parents), list(tasks), budget)
+                stats = ex.telemetry.snapshot()
         assert not timed_out
         assert products.keys() == clean.keys()
         for child, partition in clean.items():
             assert np.array_equal(partition.rows, products[child].rows)
             assert np.array_equal(partition.offsets,
                                   products[child].offsets)
-        assert stats["retries"] >= 1
-
-    def test_worker_task_fault_quarantines_to_serial(self, encoded):
-        """``worker.task`` re-fires in every rebuilt worker (forked
-        children start with fresh per-process counters), so the batch
-        exhausts its crash budget and completes serially."""
-        contexts = singleton_partitions(encoded)
-        tasks = scan_tasks(encoded)
-        budget = DeadlineBudget.unlimited()
-        clean, _ = SerialExecutor(encoded).run_scans(
-            dict(contexts), list(tasks), budget)
-        with faults.injected(one_shot("worker.task")):
-            with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
-                verdicts, _ = ex.run_scans(
-                    dict(contexts), list(tasks), budget)
-                stats = ex.telemetry.snapshot()
-        assert verdicts == clean
-        assert stats["retries"] >= 1
-
-    def test_shm_attach_fault_recovers(self, encoded):
-        contexts = singleton_partitions(encoded)
-        tasks = scan_tasks(encoded)
-        budget = DeadlineBudget.unlimited()
-        clean, _ = SerialExecutor(encoded).run_scans(
-            dict(contexts), list(tasks), budget)
-        with faults.injected(one_shot("shm.attach")):
-            with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
-                verdicts, _ = ex.run_scans(
-                    dict(contexts), list(tasks), budget)
-        assert verdicts == clean
-
-    def test_queue_drop_stalls_then_recovers(self, encoded):
-        """A dropped chunk is only observable through the stall
-        timeout; the typed stall error then rides the same retry path
-        as a crash."""
-        contexts = singleton_partitions(encoded)
-        tasks = scan_tasks(encoded)
-        budget = DeadlineBudget.unlimited()
-        clean, _ = SerialExecutor(encoded).run_scans(
-            dict(contexts), list(tasks), budget)
-        with faults.injected(one_shot("pool.queue.drop")) as plan:
-            with PoolExecutor(encoded, 2, min_grouped_rows=0,
-                              stall_timeout=0.5) as ex:
-                verdicts, _ = ex.run_scans(
-                    dict(contexts), list(tasks), budget)
-                stats = ex.telemetry.snapshot()
-        assert plan.fired.get("pool.queue.drop") == 1
-        assert verdicts == clean
-        assert stats["retries"] >= 1
+        assert stats["retries"] == 1
+        assert stats["degraded"] is True
 
     def test_crash_with_cancelled_budget_returns_promptly(self,
                                                           encoded):
-        """The cancel-races-crash corner: a revoked budget plus a
-        killed worker must neither hang nor leak — the dispatch either
-        drains as timed out or the retry completes it."""
+        """The cancel-races-failure corner: a revoked budget plus a
+        failing task must neither hang nor answer wrongly — the batch
+        either drains as timed out or completes."""
         contexts = singleton_partitions(encoded)
         tasks = scan_tasks(encoded)
         budget = DeadlineBudget(3600.0)
         budget.cancel()
-        with faults.injected(one_shot("pool.worker.kill")):
+        with faults.injected(one_shot("worker.task")):
             with PoolExecutor(encoded, 2, min_grouped_rows=0) as ex:
                 verdicts, timed_out = ex.run_scans(
                     dict(contexts), list(tasks), budget)
         assert timed_out or len(verdicts) == len(tasks)
 
 
-class TestWorkerPoolCrashPath:
-    """The raw pool contract under a crash: typed error, torn-down
-    pool, unlinked segments, harvested partial acknowledgements."""
+class TestWorkerPoolTaskFailure:
+    """The raw pool contract: a failed chunk raises a typed error that
+    carries the other chunks' results, and the pool stays usable."""
 
-    def test_crash_tears_down_and_reports_partials(self, encoded):
+    def test_task_fault_reports_partials(self, encoded):
         contexts = singleton_partitions(encoded)
         tasks = scan_tasks(encoded)
-        # the kill races the victim's task pickup (see
-        # dispatch_until_crash) — re-arm until a dispatch actually
-        # loses work
-        for _ in range(20):
-            pool = WorkerPool(encoded, 2)
-            try:
-                with faults.injected(one_shot("pool.worker.kill")):
-                    try:
-                        pool.run_scans(contexts, tasks)
-                    except WorkerCrashError as error:
-                        assert pool.closed
-                        assert isinstance(error.partial_results, list)
-                        for payload in error.partial_results:
-                            assert "verdicts" in payload
-                        return
-            finally:
-                pool.shutdown()
-        pytest.fail("worker kill never landed mid-dispatch")
-
-    def test_stall_is_a_typed_crash(self, encoded):
-        contexts = singleton_partitions(encoded)
-        tasks = scan_tasks(encoded)
-        pool = WorkerPool(encoded, 2, stall_timeout=0.5)
-        try:
-            with faults.injected(one_shot("pool.queue.drop")):
-                with pytest.raises(WorkerStallError):
+        with WorkerPool(encoded, 2) as pool:
+            with faults.injected(one_shot("worker.task")):
+                with pytest.raises(WorkerTaskError) as caught:
                     pool.run_scans(contexts, tasks)
-            assert pool.closed
-        finally:
-            pool.shutdown()
+            partials = caught.value.partial_results
+            assert len(partials) == pool.n_chunks_per_dispatch - 1
+            for chunk in partials:
+                assert chunk["results"] and not chunk["timed_out"]
+            assert not pool.closed
+            verdicts, _ = pool.run_scans(contexts, tasks)
+        assert len(verdicts) == len(tasks)
 
 
 class TestSeedMatrix:
@@ -243,12 +153,7 @@ class TestSeedMatrix:
         seed = int(os.environ.get("REPRO_FAULT_SEED", "0"))
         clean = canonical(FastOD(relation,
                                  FastODConfig()).run().to_dict())
-        plan = FaultPlan(
-            seed=seed,
-            rates={"pool.worker.kill": 0.25, "worker.task": 0.1,
-                   "shm.attach": 0.1, "pool.queue.delay": 0.3},
-            limits={"pool.worker.kill": 2},
-            delays={"pool.queue.delay": 0.01})
+        plan = FaultPlan(seed=seed, rates={"worker.task": 0.25})
         config = FastODConfig(workers=2, parallel_min_grouped_rows=0)
         with faults.injected(plan):
             chaotic = canonical(

@@ -131,13 +131,16 @@ def test_densify_parity(values, compiled):
 
 def test_discovery_identical_across_backends(compiled):
     """End-to-end: the full FD/OCD sets of a discovery run match
-    string-for-string between backends (the benchmark gates the same
-    property at workers 0/2/4 on a larger instance)."""
+    string-for-string between backends at every worker count (pool
+    threads activate the coordinator's backend per chunk)."""
     relation = random_relation(seed=13, n_cols=5, n_rows=400, domain=4)
     results = {}
     for backend in ("reference", "compiled"):
-        result = FastOD(
-            relation, FastODConfig(kernel_backend=backend)).run()
-        results[backend] = (sorted(str(od) for od in result.fds),
-                            sorted(str(od) for od in result.ocds))
-    assert results["reference"] == results["compiled"]
+        for workers in (1, 2, 4):
+            result = FastOD(relation, FastODConfig(
+                kernel_backend=backend, workers=workers,
+                parallel_min_grouped_rows=0)).run()
+            results[backend, workers] = (
+                tuple(sorted(str(od) for od in result.fds)),
+                tuple(sorted(str(od) for od in result.ocds)))
+    assert len(set(results.values())) == 1, results

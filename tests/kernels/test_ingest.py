@@ -1,186 +1,10 @@
-"""Zero-copy columnar ingest: arena layout, ownership, publication.
-
-Pins the three properties the pool's zero-copy path depends on:
-
-* every column starts 64-byte aligned in one contiguous buffer, on
-  every backing;
-* a shared-memory arena's descriptor is the worker pool's block
-  descriptor format verbatim (a plain :class:`BlockReader` round-trips
-  it);
-* arenas are reference counted — the segment is unlinked exactly once,
-  when the last adopter releases, and never by a non-owner process.
-"""
+"""Optional Arrow interop: gated on pyarrow being importable."""
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
 import pytest
 
-from repro.kernels.ingest import (
-    ALIGN_BYTES,
-    ColumnArena,
-    arrow_available,
-    columns_from_arrow,
-)
-from repro.parallel.shm import BlockReader
-from tests.conftest import make_relation
-
-
-def _arrays():
-    rng = np.random.default_rng(21)
-    return {
-        0: rng.integers(0, 50, 100),
-        1: np.arange(7, dtype=np.int64),
-        (2, "r"): np.empty(0, dtype=np.int64),
-        3: rng.integers(-5, 5, 33),
-    }
-
-
-def _shm_gone(name):
-    return not os.path.exists(os.path.join("/dev/shm", name))
-
-
-@pytest.mark.parametrize("backing", ["heap", "mmap", "shm"])
-def test_build_round_trips_and_aligns(backing):
-    arrays = _arrays()
-    arena = ColumnArena.build(arrays, n_rows=100, backing=backing)
-    arena.acquire()
-    try:
-        assert arena.arity == len(arrays)
-        assert arena.n_rows == 100
-        assert arena.nbytes == sum(len(a) for a in arrays.values()) * 8
-        for key, array in arrays.items():
-            view = arena.column(key)
-            assert np.array_equal(view, array)
-            assert view.ctypes.data % ALIGN_BYTES == 0
-            assert view.dtype == np.int64
-        assert set(arena.columns()) == set(arrays)
-        # views must not outlive the arena: a live export would keep
-        # the segment mapped past the unlink
-        del view
-    finally:
-        arena.release()
-    assert arena.closed
-
-
-def test_unknown_backing_rejected():
-    with pytest.raises(ValueError, match="unknown arena backing"):
-        ColumnArena.build(_arrays(), n_rows=100, backing="disk")
-
-
-def test_column_views_are_zero_copy():
-    arena = ColumnArena.build(_arrays(), n_rows=100, backing="heap")
-    arena.acquire()
-    try:
-        view = arena.column(0)
-        view[0] = 12345
-        assert arena.column(0)[0] == 12345  # same buffer, no copy
-    finally:
-        arena.release()
-
-
-def test_heap_arena_has_no_descriptor():
-    arena = ColumnArena.build(_arrays(), n_rows=100, backing="heap")
-    arena.acquire()
-    try:
-        with pytest.raises(ValueError, match="no shared name"):
-            arena.descriptor()
-    finally:
-        arena.release()
-
-
-def test_shm_descriptor_is_block_reader_compatible():
-    arrays = _arrays()
-    arena = ColumnArena.build(arrays, n_rows=100, backing="shm")
-    arena.acquire()
-    name, layout, n_rows, arity = arena.descriptor()
-    assert (n_rows, arity) == (100, len(arrays))
-    reader = BlockReader(name)
-    try:
-        for key, array in arrays.items():
-            assert np.array_equal(reader.array(layout, key), array)
-    finally:
-        reader.close()
-    arena.release()
-    assert _shm_gone(name)
-
-
-def test_refcounting_unlinks_once_on_last_release():
-    arena = ColumnArena.build(_arrays(), n_rows=100, backing="shm")
-    name = arena.name
-    arena.acquire()
-    arena.acquire()
-    arena.release()
-    assert not arena.closed
-    assert arena.column(1)[0] == 0  # still readable under one ref
-    arena.release()
-    assert arena.closed
-    assert _shm_gone(name)
-    with pytest.raises(ValueError, match="closed"):
-        arena.column(1)
-    with pytest.raises(ValueError, match="closed"):
-        arena.acquire()
-    arena.release()  # idempotent past zero
-
-
-def test_non_owner_process_never_unlinks():
-    arena = ColumnArena.build(_arrays(), n_rows=100, backing="shm")
-    arena.acquire()
-    name = arena.name
-    # simulate a forked child tearing down its inherited copy
-    arena._owner_pid = os.getpid() + 1
-    arena.release()
-    assert arena.closed
-    assert not _shm_gone(name)  # the owner still serves this segment
-    # clean up as the real owner would
-    reader = BlockReader(name)
-    reader._segment.unlink()
-    reader.close()
-    assert _shm_gone(name)
-
-
-def test_relation_shared_arena_is_adopted_and_rebuilt():
-    relation = make_relation(
-        3, [(1, 2, 3), (4, 5, 6), (1, 2, 9), (4, 8, 6)]).encode()
-    assert not relation.has_live_arena()
-    first = relation.shared_arena()      # returned pre-acquired
-    assert relation.has_live_arena()
-    assert first.refs == 1
-    again = relation.shared_arena()
-    assert again is first                # second adopter shares it
-    assert first.refs == 2
-    for attr in range(relation.arity):
-        assert np.array_equal(first.column(attr), relation.column(attr))
-    name = first.name
-    first.release()
-    assert relation.has_live_arena()
-    first.release()
-    assert not relation.has_live_arena()
-    assert _shm_gone(name)
-    fresh = relation.shared_arena()      # closed arenas are rebuilt
-    assert fresh is not first and not fresh.closed
-    fresh.release()
-
-
-def test_two_pools_share_one_arena_segment():
-    from repro.parallel.pool import WorkerPool
-
-    relation = make_relation(
-        3, [(i % 4, i % 3, i % 2) for i in range(64)]).encode()
-    pool_a = WorkerPool(relation, 2)
-    pool_b = WorkerPool(relation, 2)
-    try:
-        name_a = pool_a._columns_descriptor[0]
-        name_b = pool_b._columns_descriptor[0]
-        assert name_a == name_b          # one segment, zero re-copies
-    finally:
-        pool_b.shutdown()
-        assert not _shm_gone(name_a)     # pool_a still holds a ref
-        pool_a.shutdown()
-    assert _shm_gone(name_a)
-    assert not relation.has_live_arena()
+from repro.kernels.ingest import arrow_available, columns_from_arrow
 
 
 def test_arrow_gate():

@@ -1,8 +1,9 @@
 """The sampling profiler: folding, merging, the sampler thread, and
-the ambient (worker-side) instance."""
+pool threads joining the current job's profiler."""
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -11,25 +12,6 @@ from repro.obs.profiler import SamplingProfiler
 
 
 class TestFolding:
-    def test_subtract_drops_unchanged_stacks(self):
-        counts = {"a;b": 5, "a;c": 2, "d": 1}
-        baseline = {"a;b": 3, "a;c": 2}
-        assert profiler.subtract(counts, baseline) == {"a;b": 2, "d": 1}
-
-    def test_subtract_never_goes_negative(self):
-        assert profiler.subtract({"a": 1}, {"a": 9}) == {}
-
-    def test_merge_counts_accumulates(self):
-        into = {"a": 1}
-        out = profiler.merge_counts(into, {"a": 2, "b": 3})
-        assert out is into
-        assert into == {"a": 3, "b": 3}
-
-    def test_merge_counts_prefix_reroots(self):
-        into = {}
-        profiler.merge_counts(into, {"x;y": 4}, prefix="worker")
-        assert into == {"worker;x;y": 4}
-
     def test_render_folded_heaviest_first(self):
         text = profiler.render_folded({"a;b": 1, "c": 9, "a;a": 1})
         assert text.splitlines() == ["c 9", "a;a 1", "a;b 1"]
@@ -79,7 +61,7 @@ class TestSampler:
         assert frames[-2].endswith("test_stack_is_root_first")
         assert len(frames) > 2          # callers fold in above it
 
-    def test_retarget_samples_other_thread(self):
+    def test_added_thread_samples_under_prefix(self):
         ready = threading.Event()
         done = threading.Event()
         idents = {}
@@ -93,11 +75,18 @@ class TestSampler:
         thread.start()
         assert ready.wait(timeout=5.0)
         prof = SamplingProfiler()
-        prof.retarget(idents["id"])
+        prof.add_thread(idents["id"], "worker")
+        prof.sample_once()
+        prof.remove_thread(idents["id"])
         prof.sample_once()
         done.set()
         thread.join(timeout=5.0)
-        assert any("parked" in stack for stack in prof.counts())
+        joined = [stack for stack in prof.counts()
+                  if stack.startswith("worker;")]
+        # the sample on joining plus one periodic sample, none after
+        # the thread left
+        assert sum(prof.counts()[stack] for stack in joined) == 2
+        assert all("parked" in stack for stack in joined)
 
     def test_clear_and_render(self):
         prof = SamplingProfiler()
@@ -115,18 +104,27 @@ class TestSampler:
         assert prof.counts() == {}
 
 
-class TestAmbient:
-    def test_singleton_and_shutdown(self):
-        first = profiler.ambient(interval=0.05)
-        try:
-            assert first.running
-            assert profiler.ambient() is first
-        finally:
-            profiler.shutdown_ambient()
-        assert not first.running
-        # a fresh instance after shutdown
-        second = profiler.ambient(interval=0.05)
-        try:
-            assert second is not first
-        finally:
-            profiler.shutdown_ambient()
+class TestJobProfiler:
+    def test_thread_sampled_joins_the_tracked_profiler(self):
+        prof = SamplingProfiler(interval=60.0)
+        seen = []
+
+        def chunk():
+            with profiler.thread_sampled():
+                seen.append(threading.get_ident())
+
+        with profiler.track(prof):
+            context = contextvars.copy_context()
+        thread = threading.Thread(target=context.run, args=(chunk,))
+        thread.start()
+        thread.join(timeout=5.0)
+        assert seen
+        stacks = list(prof.counts())
+        assert stacks and all(stack.startswith("worker;")
+                              for stack in stacks)
+        assert any(":chunk;" in stack for stack in stacks)
+        assert prof._extra == {}
+
+    def test_thread_sampled_without_profiler_is_inert(self):
+        with profiler.thread_sampled():
+            pass

@@ -203,8 +203,7 @@ class TestTimeoutPrecision:
         assert result.timed_out
 
     def test_workers_honour_cooperative_deadline(self):
-        import time
-
+        from repro.engine import DeadlineBudget
         from repro.parallel.pool import WorkerPool
 
         relation = make_dataset("flight", n_rows=300, n_attrs=5, seed=4)
@@ -214,9 +213,16 @@ class TestTimeoutPrecision:
         tasks = [((a, b), 0, "swap", a, b)
                  for a in range(5) for b in range(a + 1, 5)]
         with WorkerPool(encoded, 2) as pool:
+            expired = DeadlineBudget(-10.0)
             verdicts, timed_out = pool.run_scans(
-                {0: context}, tasks,
-                deadline=time.perf_counter() - 10.0)   # already expired
+                {0: context}, tasks, budget=expired)
+            assert timed_out
+            assert verdicts == {}
+            # a cancel reaches chunks already handed to the threads
+            cancelled = DeadlineBudget.unlimited()
+            cancelled.cancel()
+            verdicts, timed_out = pool.run_scans(
+                {0: context}, tasks, budget=cancelled)
         assert timed_out
         assert verdicts == {}
 

@@ -1,0 +1,113 @@
+"""Tracing across pool threads: chunk spans land in the caller's trace
+buffer under their dispatch span, and the engine-level span tree is
+worker-count invariant."""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.core.fastod import FastOD, FastODConfig
+from repro.datasets import make_dataset
+from repro.obs import trace
+
+WORKER_SPAN_NAMES = ("task", "kernel")
+
+
+@pytest.fixture(scope="module")
+def relation():
+    return make_dataset("flight", n_rows=300, n_attrs=5, seed=11)
+
+
+def traced_run(relation, workers):
+    config = FastODConfig(workers=workers,
+                          parallel_min_grouped_rows=0)
+    buffer = trace.TraceBuffer()
+    with trace.collect(buffer):
+        result = FastOD(relation, config).run()
+    return result, buffer.export()
+
+
+def pruned_shape(spans):
+    """The span tree as nested ``(name, children)`` tuples with every
+    ``pool-dispatch`` subtree removed — what must be identical at any
+    worker count."""
+    by_parent = {}
+    for span in spans:
+        by_parent.setdefault(span["parent"], []).append(span)
+
+    def build(span):
+        children = tuple(
+            build(child) for child in by_parent.get(span["id"], ())
+            if child["name"] != "pool-dispatch")
+        return (span["name"], children)
+
+    return tuple(build(root) for root in by_parent.get(0, ()))
+
+
+class TestWorkerCountInvariance:
+    def test_same_tree_shape_across_worker_counts(self, relation):
+        # workers=0 clamps to serial; 2 and 4 shard across threads.
+        # Dispatch subtrees legitimately vary (chunk counts follow the
+        # worker count) — everything above them must not.
+        shapes = {}
+        results = {}
+        for workers in (0, 2, 4):
+            result, spans = traced_run(relation, workers)
+            shapes[workers] = pruned_shape(spans)
+            results[workers] = (sorted(map(str, result.fds)),
+                                sorted(map(str, result.ocds)))
+        assert shapes[0] == shapes[2] == shapes[4]
+        assert results[0] == results[2] == results[4]
+
+
+class TestWorkerSpans:
+    @pytest.fixture(scope="class")
+    def spans(self, relation):
+        _, spans = traced_run(relation, 2)
+        return spans
+
+    def test_worker_spans_present(self, spans):
+        names = {s["name"] for s in spans}
+        assert "pool-dispatch" in names
+        assert "task" in names
+        assert "kernel" in names
+
+    def test_worker_spans_nest_under_dispatch(self, spans):
+        by_id = {s["id"]: s for s in spans}
+        checked = 0
+        for span in spans:
+            if span["name"] not in WORKER_SPAN_NAMES:
+                continue
+            checked += 1
+            node = span
+            while node["parent"] != 0:
+                node = by_id[node["parent"]]
+                if node["name"] == "pool-dispatch":
+                    break
+            assert node["name"] == "pool-dispatch", (
+                f"{span['name']} span not under a dispatch span")
+        assert checked > 0
+
+    def test_worker_span_times_nest_strictly(self, spans):
+        by_id = {s["id"]: s for s in spans}
+        for span in spans:
+            if span["name"] not in WORKER_SPAN_NAMES:
+                continue
+            parent = by_id[span["parent"]]
+            assert span["start"] >= parent["start"]
+            assert span["end"] <= parent["end"]
+            assert span["seconds"] >= 0.0
+
+    def test_task_spans_carry_pool_thread(self, spans):
+        threads = {s["thread"] for s in spans if s["name"] == "task"}
+        assert threads
+        assert all(name.startswith("repro-pool") for name in threads)
+        assert threading.current_thread().name not in threads
+
+    def test_coordinator_spans_record_no_kernels(self, relation):
+        # per-kernel spans are a pool-thread feature; the serial hot
+        # loop keeps phases as its span granularity
+        _, spans = traced_run(relation, 1)
+        assert "kernel" not in {s["name"] for s in spans}

@@ -171,6 +171,18 @@ class TestValidateViolationsAppend:
         assert job["status"] == "failed"
         assert "error" in job
 
+    @pytest.mark.parametrize("kind", ["validate", "violations"])
+    def test_unknown_attribute_fails_with_schema_error(self, client,
+                                                       kind):
+        fp = client.register_rows(
+            ["a", "b"], [[1, 10], [2, 20]])["fingerprint"]
+        job = client.submit(kind, fp, wait=True,
+                            dependency="{nosuch}: [] -> a")
+        assert job["status"] == "failed"
+        assert job["error"] == (
+            "SchemaError: unknown attribute(s) nosuch in "
+            "{nosuch}: [] -> a; the relation has a, b")
+
 
 class TestRawHttp:
     def test_plain_curl_shaped_request(self, service):

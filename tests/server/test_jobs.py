@@ -111,6 +111,54 @@ class TestDiscoverJobs:
         assert job.payload["stored"] is False
 
 
+class _RekeyedAfterFirstRead:
+    """A catalog entry that a delta commit re-keys in place right after
+    the first read of its fingerprint (the runner thread's
+    ``rekey_after_delta`` racing an HTTP thread's submit)."""
+
+    def __init__(self, entry, new_fp):
+        self._entry = entry
+        self._fingerprints = [entry.fingerprint, new_fp]
+
+    @property
+    def fingerprint(self):
+        if len(self._fingerprints) > 1:
+            return self._fingerprints.pop(0)
+        return self._fingerprints[0]
+
+    def __getattr__(self, name):
+        return getattr(self._entry, name)
+
+
+class TestCachedReadFingerprint:
+    def test_rekey_between_reads_keeps_label_and_result_paired(
+            self, scheduler, monkeypatch):
+        fp_old = register(scheduler, small())
+        fp_new = register(scheduler, make_relation(
+            3, [(1, 10, 5), (2, 20, 6), (3, 10, 7)]))
+        for fp in (fp_old, fp_new):
+            assert scheduler.wait(
+                scheduler.submit("discover", fp).id,
+                timeout=30.0).status == "done"
+        stored = {fp: scheduler._store.get(fp, FastODConfig()).to_dict()
+                  for fp in (fp_old, fp_new)}
+        assert stored[fp_old] != stored[fp_new]
+        journaled = []
+        monkeypatch.setattr(
+            scheduler, "_journal_event",
+            lambda method, *args: journaled.append((method, args)))
+        entry = scheduler._catalog.get(fp_old)
+        monkeypatch.setattr(
+            scheduler._catalog, "get",
+            lambda fp: _RekeyedAfterFirstRead(entry, fp_new))
+        job = scheduler.submit("discover", fp_old)
+        assert job.cached
+        assert job.payload["result"] == stored[job.fingerprint]
+        submitted = [args for method, args in journaled
+                     if method == "job_submitted"]
+        assert [args[2] for args in submitted] == [job.fingerprint]
+
+
 class TestValidateAndViolations:
     def test_validate(self, scheduler):
         fp = register(scheduler, small())

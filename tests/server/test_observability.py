@@ -162,16 +162,9 @@ class TestResourceAccounting:
         assert resources["cpu_user_seconds"] >= 0.0
         assert resources["cpu_system_seconds"] >= 0.0
         assert resources["max_rss_bytes"] > 0
-        coordinator = resources["coordinator"]
-        assert coordinator["max_rss_bytes"] > 0
-        workers = resources["workers"]
-        # the module service runs workers=1 jobs; only shape is
-        # guaranteed here, counts are covered by the pool suites
-        assert set(workers) >= {"cpu_user_seconds",
-                                "cpu_system_seconds",
-                                "max_rss_bytes", "processes", "tasks"}
-        assert resources["shm_bytes"] >= 0
-        assert resources["zero_copy_bytes"] >= 0
+        # the module service runs workers=1 jobs: no pool work
+        assert resources["pool_chunks"] == 0
+        assert resources["pool_cpu_seconds"] == 0.0
 
     def test_job_trace_id_matches_trace_payload(self, client,
                                                 discovered):
@@ -204,3 +197,37 @@ class TestHealthExtensions:
                 ["u", "w"], [[1, 2], [2, 4], [3, 6]])["fingerprint"]
             assert client.discover(fp)["status"] == "done"
             assert client.health()["store_bytes_written"] > 0
+
+
+class TestPooledJob:
+    """A discover job on a two-thread pool: the pool threads' spans,
+    stacks and CPU all land on the job."""
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        with ODService(port=0, workers=2) as running:
+            client = ServiceClient(running.url)
+            fp = client.register_dataset("flight", n_rows=400, n_attrs=5,
+                                         seed=3)["fingerprint"]
+            job = client.discover(fp, config={
+                "workers": 2, "parallel_min_grouped_rows": 0})
+            yield (client.job(job["id"]), client.trace(job["id"]),
+                   client.profile(job["id"]))
+
+    def test_resources_bill_pool_chunks(self, pooled):
+        job, _, _ = pooled
+        assert job["resources"]["pool_chunks"] > 0
+        assert job["resources"]["pool_cpu_seconds"] >= 0.0
+
+    def test_task_spans_nest_under_dispatch(self, pooled):
+        _, trace, _ = pooled
+        by_id = {s["id"]: s for s in trace["spans"]}
+        tasks = [s for s in trace["spans"] if s["name"] == "task"]
+        assert tasks
+        for span in tasks:
+            assert by_id[span["parent"]]["name"] == "pool-dispatch"
+
+    def test_profile_samples_pool_threads(self, pooled):
+        _, _, folded = pooled
+        assert any(line.startswith("worker;")
+                   for line in folded.splitlines())

@@ -86,8 +86,7 @@ class TestServeSigint:
     def test_serve_exits_130_without_leaks(self):
         before = shm_segments()
         # REPRO_WORKERS=2 forces the scheduler to build the shared
-        # pool (and publish shm columns) on the first job — the
-        # interesting teardown case
+        # pool on the first job — the interesting teardown case
         process = spawn_cli("serve", "--port", "0",
                             extra_env={"REPRO_WORKERS": "2"})
         try:

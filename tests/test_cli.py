@@ -54,6 +54,16 @@ class TestCheck:
         assert main(["check", csv_file, "{}: [] -> c0"]) == 1
         assert "VIOLATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["check", "violations"])
+    def test_unknown_attribute_is_a_clean_error(self, csv_file, capsys,
+                                                command):
+        # exit 2 (bad input), not 1 (violated), and no traceback
+        assert main([command, csv_file, "{nosuch}: [] -> c0"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown attribute(s) nosuch" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestViolations:
     def test_report(self, tmp_path, capsys):
