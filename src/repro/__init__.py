@@ -36,6 +36,7 @@ from repro.engine import (
     make_executor,
 )
 from repro.errors import (
+    ConfigError,
     DataError,
     DependencyError,
     DiscoveryBudgetExceeded,
@@ -61,6 +62,7 @@ __all__ = [
     "CanonicalFD",
     "CanonicalOCD",
     "CanonicalValidator",
+    "ConfigError",
     "DataError",
     "DeadlineBudget",
     "DependencyError",

@@ -678,17 +678,21 @@ def _dump_final_metrics() -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kernels", None):
-        # process-wide default so commands whose engines don't thread
-        # a per-run backend (check/violations/serve jobs without an
-        # explicit kernel_backend) still honor the flag
-        from repro import kernels
-
-        kernels.set_default_backend(args.kernels)
     long_running = args.command in ("serve", "watch")
     if long_running:
         _install_sigterm_handler()
     try:
+        # resolve the backend up front: a bad --kernels/REPRO_KERNELS
+        # is a one-line ConfigError (exit 2), and the process default
+        # covers commands whose engines take no per-run backend
+        # (check/violations/serve jobs without an explicit
+        # kernel_backend)
+        from repro import kernels
+
+        if getattr(args, "kernels", None):
+            kernels.set_default_backend(args.kernels)
+        else:
+            kernels.default_backend()
         return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

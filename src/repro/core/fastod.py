@@ -42,13 +42,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro import kernels
 from repro.core.results import DiscoveryResult
 from repro.engine.budget import DeadlineBudget
 from repro.engine.executors import make_executor
 from repro.engine.planner import LatticePlanner, PartitionBackend
+from repro.errors import ConfigError
 from repro.parallel.pool import WorkerPool
 from repro.partitions.cache import PartitionCache
 from repro.relation.table import Relation
+
+
+#: ``field: (accepted types, minimum)`` for the scalar
+#: :class:`FastODConfig` fields (a ``bool`` is never taken for a number).
+_FIELD_RULES = {
+    "minimality_pruning": ((bool,), None),
+    "level_pruning": ((bool,), None),
+    "key_pruning": ((bool,), None),
+    "max_level": ((int,), 0),
+    "timeout_seconds": ((int, float), None),
+    "workers": ((int,), None),
+    "parallel_min_grouped_rows": ((int,), 0),
+}
 
 
 @dataclass
@@ -85,8 +100,9 @@ class FastODConfig:
         Serial-fallback threshold: a level dispatches to the pool only
         when its partitions hold at least this many grouped rows
         (``None`` = the package default,
-        :data:`repro.parallel.PARALLEL_MIN_GROUPED_ROWS`).  Mostly a
-        testing knob — set 0 to force every level through the pool.
+        :data:`repro.kernels.thresholds.PARALLEL_MIN_GROUPED_ROWS`).
+        Mostly a testing knob — set 0 to force every level through the
+        pool.
     kernel_backend:
         Which partition-kernel implementation to run the hot loops on:
         ``"reference"`` (pure NumPy), ``"compiled"`` (C via ctypes),
@@ -94,6 +110,10 @@ class FastODConfig:
         ``None`` defers to the ``REPRO_KERNELS`` environment variable.
         Backends are byte-identical by contract, so this is a
         work-shaping knob like ``workers``.
+
+    A field of the wrong type or out of range raises
+    :class:`~repro.errors.ConfigError` at construction; ``workers``
+    below 1 still clamps to serial.
     """
 
     minimality_pruning: bool = True
@@ -104,6 +124,27 @@ class FastODConfig:
     workers: Optional[int] = None
     parallel_min_grouped_rows: Optional[int] = None
     kernel_backend: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name, (kinds, minimum) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (not isinstance(value, kinds)
+                    or (bool not in kinds and isinstance(value, bool))
+                    or (minimum is not None and value < minimum)):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                if minimum is not None:
+                    expected += f" >= {minimum}"
+                raise ConfigError(
+                    f"{name} must be {expected}, got {value!r}")
+        backend = self.kernel_backend
+        if backend is not None and (
+                not isinstance(backend, str) or backend.strip().lower()
+                not in ("", *kernels.BACKEND_NAMES)):
+            raise ConfigError(
+                f"unknown kernel backend {backend!r}; expected one of "
+                f"{kernels.BACKEND_NAMES}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -173,9 +214,6 @@ class FastOD:
             raise ValueError(
                 "the partition cache must wrap this relation's encoding")
         self._cache = cache
-        if pool is not None and pool.relation is not self._encoded:
-            raise ValueError(
-                "the worker pool must wrap this relation's encoding")
         self._pool = pool
 
     # ------------------------------------------------------------------
@@ -186,14 +224,16 @@ class FastOD:
         """Run discovery.  ``budget`` injects an externally owned
         :class:`~repro.engine.DeadlineBudget` (the service job
         scheduler's cancellation handle); by default one is built from
-        ``config.timeout_seconds``."""
+        ``config.timeout_seconds``.
+
+        The run's kernels — pool threads included, which inherit the
+        context — dispatch to ``config.kernel_backend``."""
         config = self._config
         if budget is None:
             budget = DeadlineBudget(config.timeout_seconds)
         executor = make_executor(
             self._encoded, workers=config.workers, pool=self._pool,
-            min_grouped_rows=config.parallel_min_grouped_rows,
-            kernel_backend=config.kernel_backend)
+            min_grouped_rows=config.parallel_min_grouped_rows)
         backend = PartitionBackend(self._encoded, config, executor,
                                    budget, cache=self._cache)
         planner = LatticePlanner(
@@ -202,7 +242,8 @@ class FastOD:
                        else "FASTOD-NoPruning"),
             n_rows=self._encoded.n_rows)
         try:
-            return planner.run()
+            with kernels.activate(config.kernel_backend):
+                return planner.run()
         finally:
             # an owned pool dies with the run; injected pools belong
             # to the caller and survive for the next run

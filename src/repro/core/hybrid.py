@@ -24,7 +24,7 @@ branches over all attributes.
 Escalation waves run through the unified engine
 (:mod:`repro.engine`): each wave's masks are mutually independent, so
 one ``run_validations`` batch resolves them — serially below the
-:data:`~repro.parallel.PARALLEL_MIN_ROWS` threshold, sharded over a
+:data:`~repro.kernels.thresholds.PARALLEL_MIN_ROWS` threshold, sharded over a
 worker thread pool otherwise (per-thread partition caches over the
 rank columns).  The output is identical at any worker
 count.  One :class:`~repro.engine.DeadlineBudget` covers the whole
@@ -76,9 +76,6 @@ def hybrid_discover(relation: Relation, *, sample_size: int = 100,
                                  timeout_seconds=budget.remaining())
 
     encoded = relation.encode()
-    # the executor reads the PARALLEL_MIN_ROWS gate from
-    # repro.parallel.pool at dispatch time, so tests and benchmarks
-    # can retune it like every other engine consumer
     executor = make_executor(encoded, workers=workers)
 
     def validate_wave(wave: List[int], mode: str, a: int,

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro import kernels
 from repro.core.mapping import map_list_od
-from repro.kernels import reference as _reference_kernels
 from repro.core.od import (
     CanonicalFD,
     CanonicalOCD,
@@ -29,11 +28,9 @@ from repro.core.od import (
     OrderSpec,
     as_spec,
 )
+from repro.errors import SchemaError
 from repro.partitions.cache import PartitionCache
-from repro.partitions.partition import (
-    SMALL_KERNEL_THRESHOLD,
-    StrippedPartition,
-)
+from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 from repro.relation.schema import iter_bits
 from repro.relation.table import Relation
@@ -120,21 +117,6 @@ def find_split(column: np.ndarray, context: StrippedPartition,
                  int(rows[position]), attribute)
 
 
-#: The historical home of the segmented prefix-max swap kernel; the
-#: implementation (with its full derivation) now lives in
-#: :mod:`repro.kernels.reference` so the compiled backend can be held
-#: to the same contract.  Kept as aliases for existing consumers.
-_swap_mask = _reference_kernels.swap_mask
-
-
-def _sorted_swap_views(column_a: np.ndarray, column_b: np.ndarray,
-                       context: StrippedPartition):
-    """(class_ids, A, B) of the grouped rows, sorted by ``(class, A)``
-    (see :func:`repro.kernels.reference.sorted_swap_views`)."""
-    return _reference_kernels.sorted_swap_views(
-        column_a, column_b, context.rows, context.class_ids())
-
-
 def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
                              context: StrippedPartition) -> bool:
     """``X: A ~ B`` given Π*_X and the two rank columns.
@@ -142,16 +124,14 @@ def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
     Within each class: sort by (A, B); while scanning groups of equal A
     in ascending order, any B rank below the maximum B seen in *earlier*
     groups is a swap.  All classes are checked in one vectorized pass
-    (one composite-key sort + segmented prefix-max, see
-    :func:`_swap_mask`); contexts with few grouped rows take the scalar
-    per-class scan instead, where NumPy dispatch overhead would
-    dominate.
+    (:func:`repro.kernels.swap_flags`); contexts at or below the active
+    backend's scalar threshold take the scalar per-class scan instead,
+    where kernel dispatch overhead would dominate.
     """
     n_grouped = len(context.rows)
     if n_grouped == 0:
         return True
-    if n_grouped <= kernels.effective_scalar_threshold(
-            SMALL_KERNEL_THRESHOLD):
+    if n_grouped <= kernels.active_backend().scalar_threshold:
         rows = context.rows
         offsets = context.offsets
         for index in range(len(offsets) - 1):
@@ -407,7 +387,7 @@ class CanonicalValidator:
         try:
             return self._name_to_index[name]
         except KeyError:
-            raise KeyError(
+            raise SchemaError(
                 f"unknown attribute {name!r}; relation has "
                 f"{self._relation.names}") from None
 

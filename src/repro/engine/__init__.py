@@ -13,12 +13,7 @@ new executor, not another traversal fork.
 """
 
 from repro.engine.budget import DeadlineBudget
-from repro.engine.executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executors import PoolExecutor, SerialExecutor, make_executor
 from repro.engine.planner import (
     LatticePlanner,
     PartitionBackend,
@@ -30,7 +25,6 @@ from repro.engine.telemetry import ExecutorTelemetry
 
 __all__ = [
     "DeadlineBudget",
-    "Executor",
     "ExecutorTelemetry",
     "FdCheckTask",
     "LatticePlanner",

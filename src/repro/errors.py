@@ -15,6 +15,11 @@ class SchemaError(ReproError):
     """A relation schema is malformed or an attribute is unknown."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration value is unusable (an unknown kernel backend, a
+    non-integer worker count, a mistyped ``FastODConfig`` field)."""
+
+
 class DataError(ReproError):
     """A relation instance is malformed (ragged rows, bad CSV, ...)."""
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.od import CanonicalFD, CanonicalOCD
 from repro.core.validation import CanonicalValidator
-import repro.parallel.pool as pool_module
 from repro.engine.budget import DeadlineBudget
 from repro.engine.telemetry import build_timings
 from repro.parallel.pool import WorkerPool, resolve_workers
@@ -153,10 +152,10 @@ def discover_conditional_ods(relation: Relation, *,
                                           workers=workers)
     attributes = _condition_attributes(relation, max_condition_domain)
     n_workers = resolve_workers(workers)
-    # one worker pool for every fragment run, rebased per fragment;
-    # threads start lazily, so small fragments that never cross the
-    # dispatch thresholds cost nothing
-    shared_pool: Optional[WorkerPool] = None
+    # one worker pool for every fragment run; its threads start on the
+    # first dispatch that crosses the thresholds, so sweeps of small
+    # fragments never start them
+    shared_pool = WorkerPool(n_workers) if n_workers >= 2 else None
     try:
         for condition, rows in _fragments(relation, attributes,
                                           max_conjuncts, min_support):
@@ -166,24 +165,11 @@ def discover_conditional_ods(relation: Relation, *,
             result.n_fragments_examined += 1
             condition_attrs = {attr for attr, _ in condition}
             fragment = relation.select_rows(rows)
-            pool = None
-            # grouped rows never exceed fragment rows, so fragments
-            # below the dispatch threshold can never engage the pool —
-            # don't pay a per-fragment encode for them
-            if (n_workers >= 2 and len(rows)
-                    >= pool_module.PARALLEL_MIN_GROUPED_ROWS):
-                encoded_fragment = fragment.encode()
-                if shared_pool is None:
-                    shared_pool = WorkerPool(encoded_fragment,
-                                             n_workers)
-                else:
-                    shared_pool.rebase(encoded_fragment)
-                pool = shared_pool
             fragment_ods = FastOD(
                 fragment, FastODConfig(
                     max_level=max_level, workers=workers,
                     timeout_seconds=budget.remaining()),
-                pool=pool).run()
+                pool=shared_pool).run()
             if fragment_ods.timed_out:
                 result.timed_out = True
                 break

@@ -53,6 +53,7 @@ interleaved insert/delete/update sequences).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -69,6 +70,7 @@ from typing import (
 
 import numpy as np
 
+from repro import kernels
 from repro.core.candidates import LatticeNode
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.validation import find_split, find_swap
@@ -132,6 +134,17 @@ class BatchReport:
                 f"{deleted} rows "
                 f"({self.n_rows} total), ODs {ods}{changes}, "
                 f"{self.seconds * 1000:.1f} ms")
+
+
+def _on_config_backend(method):
+    """Run an engine method under its config's kernel backend."""
+
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        with kernels.activate(self._config.kernel_backend):
+            return method(self, *args, **kwargs)
+
+    return run
 
 
 class IncrementalFastOD:
@@ -210,7 +223,8 @@ class IncrementalFastOD:
         self._executor = make_executor(
             self._encoded, workers=config.workers, pool=pool,
             min_grouped_rows=config.parallel_min_grouped_rows)
-        self._result = self._traverse()
+        with kernels.activate(config.kernel_backend):
+            self._result = self._traverse()
         if self._verify:
             self._check_against_oracle(self._result)
 
@@ -249,12 +263,13 @@ class IncrementalFastOD:
     def _scan_compatible(self, a: int, b: int, partition) -> bool:
         """One full swap scan through the engine executor —
         class-sharded over the worker pool when the context is big
-        enough (``FastODConfig.workers`` / ``REPRO_WORKERS``); the pool
-        persists across batches, following each grown relation via
-        :meth:`repro.engine.PoolExecutor.rebase`."""
+        enough (``FastODConfig.workers`` / ``REPRO_WORKERS``); the
+        executor follows each grown relation via
+        :meth:`repro.engine.SerialExecutor.rebase`."""
         self._executor.rebase(self._encoded)
         return self._executor.scan_partition("swap", a, b, partition)
 
+    @_on_config_backend
     def append(self, batch: Union[Relation, Iterable[Sequence]]
                ) -> BatchReport:
         """Fold a batch of rows in and refresh the discovered set."""
@@ -288,6 +303,7 @@ class IncrementalFastOD:
             seconds=time.perf_counter() - started,
             result=self._result)
 
+    @_on_config_backend
     def apply_delta(self, delta: "DeltaBatch") -> BatchReport:
         """Fold a weighted :class:`~repro.deltalog.DeltaBatch` of
         inserts/deletes/updates in and refresh the discovered set.

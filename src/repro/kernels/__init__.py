@@ -13,13 +13,18 @@ two interchangeable backends:
   byte-identical outputs, measured ~2-6x faster per kernel.  Falls
   back to ``reference`` cleanly when no compiler is available.
 
-Selection order: an explicit ``activate()`` (what the executors use to
-honor ``FastODConfig(kernel_backend=...)``) > the process default set
-by :func:`set_default_backend` or the ``REPRO_KERNELS`` environment
-variable (``auto``/``reference``/``compiled``) > ``auto``.  ``auto``
-prefers the compiled backend when it builds, the reference backend
-otherwise; asking for ``compiled`` explicitly when it cannot build
-warns once and falls back.
+Selection order: an explicit ``activate()`` (what ``FastOD.run`` and
+``IncrementalFastOD`` use to honor ``FastODConfig(kernel_backend=...)``)
+> the process default set by :func:`set_default_backend` or the
+``REPRO_KERNELS`` environment variable (``auto``/``reference``/
+``compiled``) > ``auto``.  ``auto`` prefers the compiled backend when
+it builds, the reference backend otherwise; asking for ``compiled``
+explicitly when it cannot build warns once and falls back; an unknown
+name is a :class:`~repro.errors.ConfigError`.
+
+The active backend rides a :mod:`contextvars` variable, so a pool
+thread running a chunk inside the coordinator's context copy dispatches
+to the coordinator's backend without being told.
 
 Every dispatch is billed to the ``repro_kernel_calls_total`` /
 ``repro_kernel_seconds_total`` counter families (labels ``kernel``,
@@ -31,6 +36,7 @@ disabled, keeping the observability overhead gate honest.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import time
@@ -40,6 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.kernels import thresholds
 from repro.kernels.reference import ReferenceBackend
 from repro.obs import metrics, trace
@@ -53,9 +60,11 @@ _REFERENCE = ReferenceBackend()
 _default = None
 _default_lock = threading.Lock()
 
-#: per-thread activation stack (executors activate around batches) and
-#: kernel-span flag
-_active = threading.local()
+#: the backend :func:`activate` pinned for the current context
+_active = contextvars.ContextVar("repro_kernel_backend", default=None)
+
+#: whether the current context records per-kernel leaf spans
+_spans = contextvars.ContextVar("repro_kernel_spans", default=False)
 
 _warned_fallback = False
 
@@ -105,7 +114,7 @@ def resolve_backend(name: Optional[str]):
         return _compiled_or_fallback(explicit=True)
     if name == "auto":
         return _compiled_or_fallback(explicit=False)
-    raise ValueError(
+    raise ConfigError(
         f"unknown kernel backend {name!r}; expected one of "
         f"{BACKEND_NAMES}")
 
@@ -132,11 +141,9 @@ def set_default_backend(name: Optional[str]) -> str:
 
 
 def active_backend():
-    """The backend the current thread dispatches to."""
-    stack = getattr(_active, "stack", None)
-    if stack:
-        return stack[-1]
-    return default_backend()
+    """The backend the current context dispatches to."""
+    backend = _active.get()
+    return default_backend() if backend is None else backend
 
 
 def active_backend_name() -> str:
@@ -145,17 +152,15 @@ def active_backend_name() -> str:
 
 @contextmanager
 def activate(backend):
-    """Run a block under an explicit backend (object or name)."""
+    """Run a block under an explicit backend (object or name); work
+    submitted from the block in a context copy inherits it."""
     if isinstance(backend, str) or backend is None:
         backend = resolve_backend(backend)
-    stack = getattr(_active, "stack", None)
-    if stack is None:
-        stack = _active.stack = []
-    stack.append(backend)
+    token = _active.set(backend)
     try:
         yield backend
     finally:
-        stack.pop()
+        _active.reset(token)
 
 
 def compiled_available() -> bool:
@@ -169,38 +174,17 @@ def compiled_available() -> bool:
         return False
 
 
-def effective_scalar_threshold(module_value: int) -> int:
-    """The grouped-row count at or below which callers should take
-    their scalar path.
-
-    An explicitly retuned module global wins (tests and benchmarks
-    monkeypatch ``SMALL_KERNEL_THRESHOLD`` to force one path);
-    otherwise the active backend's measured crossover applies — the
-    compiled kernels amortize so little per call that their scalar
-    gate sits at :data:`thresholds.COMPILED_SCALAR_THRESHOLD` instead
-    of the reference backend's 64.
-    """
-    if module_value != thresholds.REFERENCE_SCALAR_THRESHOLD:
-        return module_value
-    return active_backend().scalar_threshold
-
-
 # ----------------------------------------------------------------------
 # dispatchers (the only call sites the hot paths use)
 # ----------------------------------------------------------------------
 #: Per-kernel trace spans are recorded only where a dispatch is the
-#: unit of work worth a timeline row — pool threads enable this around
-#: each chunk.  The coordinator's serial hot loop keeps the flag off
-#: (phases stay the span granularity there), which is what holds the
-#: serial path inside the ≤5 % overhead budget.  The flag is per
-#: thread, like the activation stack.
+#: unit of work worth a timeline row — pool threads enable this in each
+#: chunk's context copy.  The coordinator's serial hot loop keeps the
+#: flag off (phases stay the span granularity there), which is what
+#: holds the serial path inside the ≤5 % overhead budget.
 def set_kernel_spans(flag: bool) -> None:
-    """Enable/disable per-kernel leaf spans on the calling thread."""
-    _active.spans = bool(flag)
-
-
-def _kernel_spans() -> bool:
-    return getattr(_active, "spans", False)
+    """Enable/disable per-kernel leaf spans in the current context."""
+    _spans.set(bool(flag))
 
 
 def _bill(kernel: str, backend_name: str, seconds: float) -> None:
@@ -223,7 +207,7 @@ def partition_product(probe: np.ndarray, rows_y: np.ndarray,
                                     class_ids_y, n_left)
     ended = time.perf_counter()
     _bill("product", backend.name, ended - started)
-    if _kernel_spans():
+    if _spans.get():
         trace.record_leaf("kernel", started, ended,
                           kernel="product", backend=backend.name)
     return out
@@ -239,7 +223,7 @@ def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
     out = backend.swap_flags(col_a, col_b, rows, offsets, class_ids)
     ended = time.perf_counter()
     _bill("swap", backend.name, ended - started)
-    if _kernel_spans():
+    if _spans.get():
         trace.record_leaf("kernel", started, ended,
                           kernel="swap", backend=backend.name)
     return out
@@ -256,7 +240,7 @@ def split_mismatch(column: np.ndarray, rows: np.ndarray,
     out = backend.split_mismatch(column, rows, offsets, class_sizes)
     ended = time.perf_counter()
     _bill("split", backend.name, ended - started)
-    if _kernel_spans():
+    if _spans.get():
         trace.record_leaf("kernel", started, ended,
                           kernel="split", backend=backend.name)
     return out
@@ -272,7 +256,7 @@ def densify(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     out = backend.densify(values)
     ended = time.perf_counter()
     _bill("densify", backend.name, ended - started)
-    if _kernel_spans():
+    if _spans.get():
         trace.record_leaf("kernel", started, ended,
                           kernel="densify", backend=backend.name)
     return out
@@ -286,7 +270,6 @@ __all__ = [
     "compiled_available",
     "default_backend",
     "densify",
-    "effective_scalar_threshold",
     "partition_product",
     "resolve_backend",
     "set_default_backend",

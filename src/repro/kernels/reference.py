@@ -127,7 +127,12 @@ class ReferenceBackend:
     """
 
     name = "reference"
-    scalar_threshold = thresholds.REFERENCE_SCALAR_THRESHOLD
+
+    @property
+    def scalar_threshold(self) -> int:
+        """Grouped rows at or below which callers take their scalar
+        paths (read at call time, so tests can retune it)."""
+        return thresholds.REFERENCE_SCALAR_THRESHOLD
 
     @staticmethod
     def partition_product(probe: np.ndarray, rows_y: np.ndarray,

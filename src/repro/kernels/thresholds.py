@@ -1,13 +1,10 @@
 """The one home for the kernel crossover thresholds.
 
 Every size gate the hot path consults — "scalar scan vs vectorized
-kernel" and "serial vs pooled dispatch" — is defined here with its
-provenance, instead of as scattered literals.  The historical module
-globals (``repro.partitions.partition.SMALL_KERNEL_THRESHOLD``,
-``repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS`` /
-``PARALLEL_MIN_ROWS``) remain the names hot code *reads at call time*
-— tests and benchmarks retune them by monkeypatching those modules —
-but their values are assigned from the constants below.
+kernel" and "serial vs pooled dispatch" — is defined here, and only
+here, with its provenance.  Hot code reads these names from this
+module at call time, so tests and benchmarks retune a gate by
+monkeypatching it here.
 
 Crossover measurements (``benchmarks/bench_partition_kernels.py``
 micro section, single-core CI-class x86-64 container, NumPy 2.x,
@@ -54,7 +51,7 @@ REFERENCE_SCALAR_THRESHOLD = 64
 COMPILED_SCALAR_THRESHOLD = 16
 
 #: Grouped rows a dispatch's partitions must carry before the pool
-#: executor leaves the coordinator (see repro.parallel.pool).
+#: executor leaves the coordinator (see repro.engine.executors).
 PARALLEL_MIN_GROUPED_ROWS = 16_384
 
 #: Relation-row floor for the mask-derived validation dispatches,

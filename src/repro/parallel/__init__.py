@@ -6,23 +6,20 @@ has no cross-node dependencies, so it shards cleanly across threads
 supplies:
 
 * :class:`repro.parallel.pool.WorkerPool` — a persistent thread pool
-  bound to one encoded relation;
+  that holds no relation: each dispatch brings its own inputs;
 * :func:`repro.parallel.pool.resolve_workers` — the one place the
   ``workers`` knob (``FastODConfig.workers``, CLI ``--workers``, the
-  ``REPRO_WORKERS`` environment variable) is interpreted;
-* the serial-fallback thresholds ``PARALLEL_MIN_GROUPED_ROWS`` /
-  ``PARALLEL_MIN_ROWS`` shared by every consumer, so tiny inputs never
-  pay dispatch overhead.
+  ``REPRO_WORKERS`` environment variable) is interpreted.
 
-Results are byte-identical to the serial engine by construction: the
-coordinator owns all candidate-set mutations and merges chunk results
-in deterministic order (see DESIGN.md, "Parallel execution").
+The serial-fallback thresholds every consumer shares live in
+:mod:`repro.kernels.thresholds`.  Results are byte-identical to the
+serial engine by construction: the coordinator owns all candidate-set
+mutations and merges chunk results in deterministic order (see
+DESIGN.md, "Parallel execution").
 """
 
 from repro.parallel.pool import (
     CHUNKS_PER_WORKER,
-    PARALLEL_MIN_GROUPED_ROWS,
-    PARALLEL_MIN_ROWS,
     PoolDispatchError,
     WorkerPool,
     WorkerTaskError,
@@ -31,8 +28,6 @@ from repro.parallel.pool import (
 
 __all__ = [
     "CHUNKS_PER_WORKER",
-    "PARALLEL_MIN_GROUPED_ROWS",
-    "PARALLEL_MIN_ROWS",
     "PoolDispatchError",
     "WorkerPool",
     "WorkerTaskError",

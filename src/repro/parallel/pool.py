@@ -1,4 +1,4 @@
-"""A thread pool for lattice-level execution.
+"""A thread pool for lattice-level execution, and the batch loops it runs.
 
 FASTOD's level-wise sweep visits each lattice node independently within
 a level: partition products and validation scans have no cross-node
@@ -9,21 +9,28 @@ the heavy part of every task runs in parallel, while partitions, rank
 columns and results are handed over by reference — nothing is copied
 or serialized.
 
-Determinism: pool threads run the exact same kernels
-(:meth:`StrippedPartition.product`, :func:`scan_verdict`, ...) on the
-same inputs, and the coordinator merges chunk results in chunk order —
-so a parallel run's partitions and verdicts are byte-identical to
+The three batch loops — :func:`product_loop`, :func:`scan_loop` and
+:func:`validation_loop` — live here once.  The serial executor runs a
+loop inline over a whole batch, each pool chunk runs it over its slice,
+and a dispatch whose chunk failed re-runs it inline on the unfinished
+tasks.  Every loop checks ``should_stop()`` before each task.
+
+Determinism: pool threads run the exact same loops on the same inputs,
+and the coordinator merges chunk results in chunk order — so a
+parallel run's partitions and verdicts are byte-identical to
 ``workers=1``.
 
-Each chunk runs
+The pool holds no relation: each dispatch brings the partitions and
+rank columns (or, for validations, the relation) its tasks read, so one
+pool serves any number of relations in turn.  Each chunk runs inside a
+:mod:`contextvars` copy taken within the ``pool-dispatch`` span, so
 
-* under the kernel backend the coordinator resolved for the dispatch
-  (:func:`repro.kernels.activate` is thread-local);
-* inside a :mod:`contextvars` copy taken within the ``pool-dispatch``
-  span, so its ``task`` span and per-kernel leaf spans land in the
-  caller's trace buffer under that span, and the job's sampling
-  profiler samples the thread while the chunk runs;
-* with cooperative cancellation: the chunk checks the dispatch's
+* it dispatches to the coordinator's kernel backend
+  (:func:`repro.kernels.activate` rides the context);
+* its ``task`` span and per-kernel leaf spans land in the caller's
+  trace buffer under that span, and the job's sampling profiler
+  samples the thread while the chunk runs;
+* it stops cooperatively: the chunk checks the dispatch's
   :class:`~repro.engine.budget.DeadlineBudget` between tasks and
   returns its partial results flagged ``timed_out``.
 
@@ -43,13 +50,13 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, kernels
-from repro.errors import ReproError
-from repro.kernels import thresholds as kernel_thresholds
+from repro.errors import ConfigError, ReproError
 from repro.obs import accounting, metrics, profiler, trace
 from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
@@ -68,17 +75,6 @@ _QUEUE_WAIT_SECONDS = metrics.histogram(
     "Coordinator-observed overhead per dispatch: wall clock minus "
     "the busiest chunk's thread CPU time, clamped at zero")
 
-#: Below this many grouped rows in a dispatch's partitions the callers
-#: fall back to the serial path.  Canonical value (with the crossover
-#: measurement) in :mod:`repro.kernels.thresholds`; this module global
-#: stays the name read at dispatch time so tests and benchmarks can
-#: retune it.
-PARALLEL_MIN_GROUPED_ROWS = kernel_thresholds.PARALLEL_MIN_GROUPED_ROWS
-
-#: Relation size floor for the hybrid/validator parallel paths, which
-#: gate on rows (their context partitions are not known up front).
-PARALLEL_MIN_ROWS = kernel_thresholds.PARALLEL_MIN_ROWS
-
 #: Task chunks per worker and dispatch.  Two per worker smooths out
 #: uneven node costs without multiplying per-chunk overhead.
 CHUNKS_PER_WORKER = 2
@@ -92,11 +88,20 @@ MAX_DISPATCH_RECORDS = 512
 #: validations (hybrid escalation waves revisit the same contexts).
 VALIDATION_CACHE_ENTRIES = 128
 
+#: ``(key, context_key, mode, a, b)`` — a scan against a known context
+#: partition.  Modes: ``"swap"``, ``"const"``, ``"swap_desc"``
+#: (descending right column), ``"pointwise"`` (``a`` is an LHS bitmask,
+#: ``b`` a target attribute; the context is ignored).
 ScanTask = Tuple[Hashable, Hashable, str, int, int]
 
-#: One chunk's work: ``run(tasks, stop) -> {key: value}``, where
-#: ``stop()`` turns True once the dispatch should wind down.
-ChunkRunner = Callable[[Sequence, Callable[[], bool]], Dict]
+#: ``(key, context_mask, mode, a, b)`` — a scan whose context partition
+#: the loop derives from a :class:`PartitionCache`.
+ValidationTask = Tuple[Hashable, int, str, int, int]
+
+#: A batch loop bound to its inputs: ``run(tasks, should_stop) ->
+#: {key: value}``, stopping before the first task at which
+#: ``should_stop()`` is True.
+BatchLoop = Callable[[Sequence, Callable[[], bool]], Dict]
 
 
 class PoolDispatchError(ReproError):
@@ -123,7 +128,8 @@ def resolve_workers(workers: Optional[int]) -> int:
         try:
             workers = int(raw) if raw else 1
         except ValueError:
-            workers = 1
+            raise ConfigError(
+                f"REPRO_WORKERS must be an integer, got {raw!r}") from None
     return max(1, int(workers))
 
 
@@ -135,35 +141,72 @@ def _chunk_slices(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
             for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
 
 
-def _scan_verdict(mode: str, columns: List[np.ndarray], a: int, b: int,
-                  context: Optional[StrippedPartition]) -> bool:
-    """The shared mode dispatch (lazy import: validation imports this
-    package's siblings indirectly)."""
-    from repro.core.validation import scan_verdict
+def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
+                 b: int, context: Optional[StrippedPartition]) -> bool:
+    """:func:`repro.core.validation.scan_verdict`, imported on use
+    (validation imports this package's siblings indirectly)."""
+    from repro.core.validation import scan_verdict as verdict
 
-    return scan_verdict(mode, columns, a, b, context)
+    return verdict(mode, columns, a, b, context)
+
+
+def product_loop(parents: Dict[int, StrippedPartition], tasks: Sequence,
+                 should_stop: Callable[[], bool]
+                 ) -> Dict[int, StrippedPartition]:
+    """``Π_left · Π_right`` for each
+    :class:`~repro.engine.tasks.ProductTask`, keyed by child mask."""
+    products: Dict[int, StrippedPartition] = {}
+    for task in tasks:
+        if should_stop():
+            break
+        products[task.child] = parents[task.left].product(
+            parents[task.right])
+    return products
+
+
+def scan_loop(columns: Sequence[np.ndarray],
+              contexts: Dict[Hashable, StrippedPartition],
+              tasks: Sequence[ScanTask], should_stop: Callable[[], bool]
+              ) -> Dict[Hashable, bool]:
+    """One verdict per :data:`ScanTask` over the given rank columns."""
+    verdicts: Dict[Hashable, bool] = {}
+    for key, context_key, mode, a, b in tasks:
+        if should_stop():
+            break
+        verdicts[key] = scan_verdict(mode, columns, a, b,
+                                     contexts.get(context_key))
+    return verdicts
+
+
+def validation_loop(relation: EncodedRelation, cache: PartitionCache,
+                    tasks: Sequence[ValidationTask],
+                    should_stop: Callable[[], bool]
+                    ) -> Dict[Hashable, bool]:
+    """One verdict per :data:`ValidationTask`, deriving each context
+    partition from ``cache``."""
+    verdicts: Dict[Hashable, bool] = {}
+    for key, mask, mode, a, b in tasks:
+        if should_stop():
+            break
+        context = None if mode == "pointwise" else cache.get(mask)
+        verdicts[key] = scan_verdict(mode, relation.ranks, a, b, context)
+    return verdicts
 
 
 class WorkerPool:
-    """Thread pool bound to one encoded relation.
+    """A persistent thread pool for lattice-level batches.
 
-    ``with WorkerPool(encoded, workers=4) as pool: ...`` — or call
-    :meth:`shutdown` explicitly.  The pool is *persistent*: one set of
-    threads serves every level of a discovery run (and every run that
-    reuses the pool).
+    ``with WorkerPool(workers=4) as pool: ...`` — or call
+    :meth:`shutdown` explicitly.  One set of threads serves every level
+    of a discovery run, and every run or service job that reuses the
+    pool.
     """
 
-    def __init__(self, relation: EncodedRelation, workers: int,
-                 n_chunks_per_dispatch: Optional[int] = None,
-                 kernel_backend: Optional[str] = None):
+    def __init__(self, workers: int,
+                 n_chunks_per_dispatch: Optional[int] = None):
         if workers < 1:
             raise ValueError("workers must be a positive integer")
-        self._relation = relation
         self.workers = workers
-        #: kernels backend every chunk runs under; ``None`` resolves to
-        #: the coordinator's active backend at dispatch time, so serial
-        #: and pooled kernels always agree
-        self.kernel_backend = kernel_backend
         #: chunk count per dispatch; overriding it decouples chunk
         #: granularity from the worker count (the benchmark's
         #: work-distribution projection measures N-worker chunks on one
@@ -181,16 +224,6 @@ class WorkerPool:
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def relation(self) -> EncodedRelation:
-        return self._relation
-
-    def rebase(self, relation: EncodedRelation) -> None:
-        """Point the pool at another relation (the incremental append
-        path, or the next service job); per-thread validation caches
-        notice the switch and rebuild lazily."""
-        self._relation = relation
-
     @property
     def closed(self) -> bool:
         """True once :meth:`shutdown` ran; a closed pool never
@@ -220,18 +253,9 @@ class WorkerPool:
         self.shutdown()
 
     # -- dispatch machinery --------------------------------------------
-    def _kernel_backend(self):
-        """The backend every chunk of a dispatch runs under: the pool's
-        pinned backend, else whatever is active on the coordinator now
-        (resolved, so pool threads never re-decide)."""
-        if self.kernel_backend:
-            return kernels.resolve_backend(self.kernel_backend)
-        return kernels.active_backend()
-
     @staticmethod
-    def _run_chunk(kind: str, run: ChunkRunner, tasks: Sequence,
-                   backend, should_stop: Callable[[], bool]
-                   ) -> Tuple[dict, float]:
+    def _run_chunk(kind: str, run: BatchLoop, tasks: Sequence,
+                   should_stop: Callable[[], bool]) -> Tuple[dict, float]:
         """One chunk on a pool thread (inside the dispatch's context
         copy): returns its result dict and busy thread-CPU seconds."""
         started = time.thread_time()
@@ -240,17 +264,14 @@ class WorkerPool:
                            thread=threading.current_thread().name):
             faults.maybe_raise("worker.task",
                                f"injected failure in a {kind!r} task")
+            # the flag lives in this chunk's context copy only
             kernels.set_kernel_spans(True)
-            try:
-                with kernels.activate(backend):
-                    results = run(tasks, should_stop)
-            finally:
-                kernels.set_kernel_spans(False)
+            results = run(tasks, should_stop)
         return ({"results": results,
                  "timed_out": len(results) < len(tasks)},
                 time.thread_time() - started)
 
-    def _dispatch(self, kind: str, run: ChunkRunner, tasks: Sequence,
+    def _dispatch(self, kind: str, run: BatchLoop, tasks: Sequence,
                   budget=None) -> Tuple[Dict, bool]:
         """Run ``tasks`` in contiguous chunks across the pool threads;
         returns the merged ``{key: value}`` results and whether the
@@ -262,7 +283,6 @@ class WorkerPool:
         interrupt stops every chunk at its next task boundary."""
         self._ensure_started()
         started = time.perf_counter()
-        backend = self._kernel_backend()
         abort = threading.Event()
 
         def should_stop() -> bool:
@@ -275,7 +295,7 @@ class WorkerPool:
             # each chunk's spans parent onto this dispatch
             futures = [self._threads.submit(
                 contextvars.copy_context().run, self._run_chunk, kind,
-                run, chunk, backend, should_stop) for chunk in chunks]
+                run, chunk, should_stop) for chunk in chunks]
             try:
                 wait(futures)
             except BaseException:
@@ -325,52 +345,34 @@ class WorkerPool:
 
     # -- level operations ----------------------------------------------
     def run_products(self, parents: Dict[int, StrippedPartition],
-                     triples: Sequence[Tuple[int, int, int]],
-                     budget=None
+                     tasks: Sequence, budget=None
                      ) -> Tuple[Dict[int, StrippedPartition], bool]:
-        """Compute ``Π_left · Π_right`` for every ``(child, left,
-        right)`` triple, sharded across threads.  Returns the products
-        plus a flag set when the cooperative ``budget`` cut chunks
-        short (the dict then covers a subset of the triples)."""
+        """:func:`product_loop` over
+        :class:`~repro.engine.tasks.ProductTask` records, sharded
+        across threads.  Returns the products plus a flag set when the
+        cooperative ``budget`` cut chunks short (the dict then covers a
+        subset of the tasks)."""
         # contiguous chunks of (left, right)-sorted tasks keep each
         # parent's derived probe table (row_to_class) mostly inside one
         # chunk, so few threads race to build the same table
-        triples = sorted(triples, key=lambda t: (t[1], t[2]))
-
-        def run(chunk, should_stop):
-            products: Dict[int, StrippedPartition] = {}
-            for child, left, right in chunk:
-                if should_stop():
-                    break
-                products[child] = parents[left].product(parents[right])
-            return products
-
-        return self._dispatch("products", run, triples, budget)
+        tasks = sorted(tasks, key=lambda task: (task.left, task.right))
+        return self._dispatch("products", partial(product_loop, parents),
+                              tasks, budget)
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
-                  tasks: Sequence[ScanTask], budget=None
+                  tasks: Sequence[ScanTask],
+                  columns: Sequence[np.ndarray], budget=None
                   ) -> Tuple[Dict[Hashable, bool], bool]:
-        """Validation scans over known context partitions.
-
-        ``tasks`` are ``(key, context_key, mode, a, b)`` with a mode
-        :func:`repro.core.validation.scan_verdict` accepts; returns
-        per-key verdicts plus a flag set when the cooperative budget cut
-        chunks short (verdicts then cover a prefix of each chunk).
-        Tasks are grouped by context before chunking so a context's
-        derived state is mostly built by one thread."""
-        columns = self._relation.ranks
+        """:func:`scan_loop` over ``columns`` (a relation's rank
+        columns); returns per-key verdicts plus a flag set when the
+        cooperative budget cut chunks short (verdicts then cover a
+        prefix of each chunk).  Tasks are grouped by context before
+        chunking so a context's derived state is mostly built by one
+        thread."""
         tasks = sorted(tasks, key=lambda t: (repr(t[1]), repr(t[0])))
-
-        def run(chunk, should_stop):
-            verdicts: Dict[Hashable, bool] = {}
-            for key, context_key, mode, a, b in chunk:
-                if should_stop():
-                    break
-                verdicts[key] = _scan_verdict(mode, columns, a, b,
-                                              contexts[context_key])
-            return verdicts
-
-        return self._dispatch("scans", run, tasks, budget)
+        return self._dispatch("scans",
+                              partial(scan_loop, columns, contexts),
+                              tasks, budget)
 
     def _thread_cache(self, relation: EncodedRelation) -> PartitionCache:
         """This thread's partition cache over ``relation``."""
@@ -381,30 +383,22 @@ class WorkerPool:
                 relation, max_entries=VALIDATION_CACHE_ENTRIES)
         return local.cache
 
-    def run_validations(self, tasks: Sequence[Tuple[Hashable, int, str,
-                                                    int, int]],
-                        budget=None
+    def run_validations(self, tasks: Sequence[ValidationTask],
+                        relation: EncodedRelation, budget=None
                         ) -> Tuple[Dict[Hashable, bool], bool]:
-        """Ad-hoc context validation (the hybrid escalation waves):
-        ``(key, context_mask, mode, a, b)`` tasks; each thread derives
-        context partitions from its own :class:`PartitionCache`."""
-        relation = self._relation
+        """:func:`validation_loop` over ``relation`` (the hybrid
+        escalation waves); each thread derives context partitions from
+        its own :class:`PartitionCache`."""
 
         def run(chunk, should_stop):
-            cache = self._thread_cache(relation)
-            verdicts: Dict[Hashable, bool] = {}
-            for key, mask, mode, a, b in chunk:
-                if should_stop():
-                    break
-                context = None if mode == "pointwise" else cache.get(mask)
-                verdicts[key] = _scan_verdict(mode, relation.ranks, a, b,
-                                              context)
-            return verdicts
+            return validation_loop(relation, self._thread_cache(relation),
+                                   chunk, should_stop)
 
         return self._dispatch("validations", run, list(tasks), budget)
 
     def run_class_scan(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition, budget=None
+                       partition: StrippedPartition,
+                       columns: Sequence[np.ndarray], budget=None
                        ) -> Tuple[bool, bool]:
         """One big scan sharded by context class (the single-dependency
         path behind ``check``/``violations`` and incremental
@@ -429,7 +423,8 @@ class WorkerPool:
             tasks.append((index, index, mode, a, b))
         if not tasks:
             return True, False
-        verdicts, timed_out = self.run_scans(contexts, tasks, budget)
+        verdicts, timed_out = self.run_scans(contexts, tasks, columns,
+                                             budget)
         return all(verdicts.values()), timed_out
 
     # -- reporting ------------------------------------------------------

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.reference import strip_sorted_runs as _strip_sorted_runs
-from repro.kernels.thresholds import REFERENCE_SCALAR_THRESHOLD
 from repro.relation.encoding import EncodedRelation
 
 #: Shared sentinels aliased into every empty partition; frozen so an
@@ -50,18 +49,6 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.setflags(write=False)
 _ZERO_OFFSET = np.zeros(1, dtype=np.int64)
 _ZERO_OFFSET.setflags(write=False)
-
-#: Below this many grouped rows the vectorized kernels fall back to
-#: scalar scans — fixed NumPy dispatch overhead (~a dozen ufunc calls)
-#: beats the per-row work on the tiny classes deep lattice levels
-#: produce.  The canonical value lives in
-#: :mod:`repro.kernels.thresholds`; this module global remains the
-#: call-time gate tests retune by monkeypatching, and while it holds
-#: the stock value the active kernel backend's own (measured) crossover
-#: applies instead — the compiled kernels pay far less per call (see
-#: :func:`repro.kernels.effective_scalar_threshold`).
-SMALL_KERNEL_THRESHOLD = REFERENCE_SCALAR_THRESHOLD
-
 
 class StrippedPartition:
     """Equivalence classes of size >= 2 over some attribute set.
@@ -226,8 +213,7 @@ class StrippedPartition:
         if self.n_rows != other.n_rows:
             raise ValueError("partitions cover different relations")
         probe = self.row_to_class()
-        if len(other.rows) <= kernels.effective_scalar_threshold(
-                SMALL_KERNEL_THRESHOLD):
+        if len(other.rows) <= kernels.active_backend().scalar_threshold:
             return self._product_small(other, probe)
         rows, offsets = kernels.partition_product(
             probe, other.rows, other.offsets, other.class_ids(),

@@ -6,10 +6,10 @@ not a limitation:
 
 * **one shared** :class:`~repro.parallel.WorkerPool` serves every job
   (discover products/scans, append-path re-scans, big validate
-  checks).  A pool is bound to one encoded relation at a time, so the
-  runner rebases it per job — safe precisely because execution is
-  serialised — and its threads are started once per server instead of
-  once per request;
+  checks).  The pool holds no relation — each dispatch brings its own
+  inputs — so its threads start once per server instead of once per
+  request, and one set of threads (not one per job) bounds the
+  server's memory;
 * intra-job parallelism (the level-wise sharding of PR 3/4) already
   uses every core; running two discoveries concurrently would only
   interleave their pool dispatches;
@@ -46,7 +46,7 @@ from repro import faults
 from repro.core.fastod import FastOD, FastODConfig
 from repro.deltalog import DeltaBatch, DeltaLog, delta_log_path
 from repro.engine.budget import DeadlineBudget
-from repro.errors import DataError, ReproError
+from repro.errors import ConfigError, DataError, ReproError
 from repro.obs import accounting, events, metrics, profiler, trace
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.relation.fingerprint import fingerprint
@@ -116,14 +116,18 @@ def cached_executor_stats() -> Dict[str, object]:
 def config_from_params(params: Optional[Dict]) -> FastODConfig:
     """Build a :class:`FastODConfig` from a request's config dict,
     rejecting unknown knobs (a typo must not silently change the
-    result-store key)."""
+    result-store key) and mistyped values (HTTP 400 at submit, not a
+    failed job)."""
     params = dict(params or {})
     unknown = set(params) - set(_CONFIG_FIELDS)
     if unknown:
         raise JobError(
             f"unknown config field(s) {sorted(unknown)}; "
             f"supported: {list(_CONFIG_FIELDS)}")
-    return FastODConfig(**params)
+    try:
+        return FastODConfig(**params)
+    except ConfigError as error:
+        raise JobError(f"bad config: {error}") from None
 
 
 class Job:
@@ -466,15 +470,13 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # execution (the runner thread only)
     # ------------------------------------------------------------------
-    def _shared_pool(self, encoded) -> Optional[WorkerPool]:
-        """The one pool every job shares, rebased onto this job's
-        relation.  ``None`` when the server runs serial."""
+    def _shared_pool(self) -> Optional[WorkerPool]:
+        """The one pool every job shares (one set of threads for the
+        server's life).  ``None`` when the server runs serial."""
         if self._workers < 2:
             return None
         if self._pool is None:
-            self._pool = WorkerPool(encoded, self._workers)
-        elif self._pool.relation is not encoded:
-            self._pool.rebase(encoded)
+            self._pool = WorkerPool(self._workers)
         return self._pool
 
     def _run_loop(self) -> None:
@@ -572,7 +574,7 @@ class JobScheduler:
             job.executor_stats = cached_executor_stats()
             self._finish_ok(job)
             return
-        pool = self._shared_pool(entry.encoded)
+        pool = self._shared_pool()
         result = FastOD(entry.relation, config, cache=entry.cache,
                         pool=pool).run(budget=job.budget)
         stored = self._store.put(entry.fingerprint, config, result)
@@ -586,7 +588,7 @@ class JobScheduler:
         dependency = job.params.get("dependency")
         if not dependency:
             raise JobError(f"{job.kind} jobs need a 'dependency'")
-        pool = self._shared_pool(entry.encoded)
+        pool = self._shared_pool()
         detector = ViolationDetector(
             entry.relation, cache=entry.cache, workers=self._workers,
             pool=pool)
@@ -654,7 +656,7 @@ class JobScheduler:
         cached ODs would be silently stale).
         """
         config = config_from_params(job.params.get("config"))
-        pool = self._shared_pool(entry.encoded)
+        pool = self._shared_pool()
         engine = self._catalog.ensure_incremental(
             entry.fingerprint, config, pool=pool)
         old_fp = entry.fingerprint

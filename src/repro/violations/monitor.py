@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.od import CanonicalFD, CanonicalOCD
 from repro.core.parser import parse
+from repro.errors import SchemaError
 from repro.relation.encoding import sort_key
 from repro.relation.table import Relation
 
@@ -161,7 +162,7 @@ class ODMonitor:
                     f"ODMonitor takes canonical ODs, got {dependency!r}")
             for name in self._attrs_of(dependency):
                 if name not in self._index:
-                    raise KeyError(
+                    raise SchemaError(
                         f"dependency {dependency} mentions unknown "
                         f"attribute {name!r}")
             self._ods.append(dependency)

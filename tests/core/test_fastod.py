@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import FastOD, FastODConfig, discover_ods
+from repro import FastOD, FastODConfig, discover_ods, kernels
 from repro.baselines import (
     all_valid_canonical_ods,
     minimal_canonical_ods,
@@ -14,16 +14,35 @@ from repro.baselines import (
 )
 from repro.core.od import CanonicalFD
 from repro.core.results import diff_results
+from repro.errors import ConfigError
+from repro.kernels import thresholds
 from tests.conftest import make_relation, random_relation, small_relations
 
 
 class TestAgainstBruteForce:
     """FASTOD output == definition-level minimal set (Theorem 8)."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(small_relations(max_cols=4, max_rows=10, max_domain=3))
-    def test_matches_oracle(self, relation):
-        fast = discover_ods(relation)
+    @pytest.mark.parametrize("gates", ["stock", "zero"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["reference", "compiled"])
+    @settings(max_examples=40, deadline=None)
+    @given(relation=small_relations(max_cols=4, max_rows=10,
+                                    max_domain=3))
+    def test_matches_oracle(self, backend, workers, gates, relation):
+        """Through every production path: scalar gates forced to 0
+        reach the vectorized kernels on these tiny inputs (stock gates
+        keep them on the scalar paths), and ``workers=2`` with no
+        dispatch floor runs every level on the pool."""
+        if backend == "compiled" and not kernels.compiled_available():
+            pytest.skip("no C toolchain; compiled backend unavailable")
+        config = FastODConfig(
+            workers=workers, kernel_backend=backend,
+            parallel_min_grouped_rows=0 if workers > 1 else None)
+        with pytest.MonkeyPatch.context() as patch:
+            if gates == "zero":
+                patch.setattr(thresholds, "REFERENCE_SCALAR_THRESHOLD", 0)
+                patch.setattr(thresholds, "COMPILED_SCALAR_THRESHOLD", 0)
+            fast = FastOD(relation, config).run()
         truth = minimal_canonical_ods(relation)
         assert fast.same_ods(truth), diff_results(fast, truth)
 
@@ -152,6 +171,20 @@ class TestConfig:
         relation = make_relation(2, [(1, 2), (2, 1)])
         result = FastOD(relation, FastODConfig(max_level=1)).run()
         assert max(s.level for s in result.level_stats) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("kernel_backend", "bogus"), ("kernel_backend", 3),
+        ("workers", "two"), ("workers", 1.5), ("max_level", "x"),
+        ("max_level", -1), ("parallel_min_grouped_rows", -5),
+        ("timeout_seconds", "soon"), ("key_pruning", "yes")])
+    def test_mistyped_field_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field.split("_")[-1]):
+            FastODConfig(**{field: value})
+
+    def test_workers_below_one_still_clamp_to_serial(self):
+        relation = make_relation(2, [(1, 2), (2, 1)])
+        result = FastOD(relation, FastODConfig(workers=0)).run()
+        assert result.executor_stats["backend"] == "serial"
 
 
 class TestStatistics:

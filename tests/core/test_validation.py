@@ -23,6 +23,7 @@ from repro.core.validation import (
     order_compatible,
     order_equivalent,
 )
+from repro.errors import SchemaError
 from repro.partitions.partition import StrippedPartition
 from tests.conftest import make_relation, small_relations
 
@@ -135,7 +136,7 @@ class TestCanonicalValidator:
     def test_unknown_attribute(self):
         rel = make_relation(1, [(1,)])
         validator = CanonicalValidator(rel)
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError):
             validator.holds(CanonicalFD({"zzz"}, "c0"))
 
     def test_accepts_relation_or_encoded(self):

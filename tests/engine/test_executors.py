@@ -1,4 +1,4 @@
-"""Executor protocol: serial/pool equivalence, gating, telemetry."""
+"""Executors: serial/pool equivalence, gating, telemetry."""
 
 from __future__ import annotations
 
@@ -18,9 +18,16 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
+from repro.kernels import thresholds
 from repro.parallel.pool import WorkerPool
 from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
+
+
+@pytest.fixture()
+def no_row_floor(monkeypatch):
+    """Let mask-derived validations dispatch on a 200-row relation."""
+    monkeypatch.setattr(thresholds, "PARALLEL_MIN_ROWS", 0)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +53,8 @@ def all_mask_tasks(encoded, mode):
 class TestMakeExecutor:
     def test_serial_by_default(self, encoded, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert isinstance(make_executor(encoded), SerialExecutor)
+        executor = make_executor(encoded)
+        assert type(executor) is SerialExecutor
 
     def test_env_opts_into_pool(self, encoded, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -56,7 +64,7 @@ class TestMakeExecutor:
         executor.close()
 
     def test_explicit_workers_beat_injected_pool(self, encoded):
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             executor = make_executor(encoded, workers=4, pool=pool)
             assert isinstance(executor, PoolExecutor)
             assert executor.workers == 4
@@ -64,19 +72,19 @@ class TestMakeExecutor:
             assert not pool.closed   # injected pools are the caller's
 
     def test_one_worker_is_serial_even_with_pool(self, encoded):
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             executor = make_executor(encoded, workers=1, pool=pool)
-            assert isinstance(executor, SerialExecutor)
+            assert type(executor) is SerialExecutor
 
 
 class TestSerialPoolEquivalence:
     @pytest.mark.parametrize("mode", ["const", "swap", "swap_desc"])
-    def test_validations_agree(self, encoded, mode):
+    def test_validations_agree(self, encoded, mode, no_row_floor):
         tasks = all_mask_tasks(encoded, mode)
         budget = DeadlineBudget.unlimited()
         serial, _ = SerialExecutor(encoded).run_validations(
             tasks, budget)
-        pooled_executor = PoolExecutor(encoded, 2, min_rows=0)
+        pooled_executor = PoolExecutor(encoded, 2)
         try:
             pooled, _ = pooled_executor.run_validations(tasks, budget)
         finally:
@@ -84,7 +92,7 @@ class TestSerialPoolEquivalence:
         assert serial == pooled
         assert len(serial) == len(tasks)
 
-    def test_pointwise_validations_agree(self, encoded):
+    def test_pointwise_validations_agree(self, encoded, no_row_floor):
         arity = encoded.arity
         tasks = []
         for lhs_mask in range(1, 1 << arity):
@@ -96,7 +104,7 @@ class TestSerialPoolEquivalence:
         budget = DeadlineBudget.unlimited()
         serial, _ = SerialExecutor(encoded).run_validations(
             tasks, budget)
-        pooled_executor = PoolExecutor(encoded, 2, min_rows=0)
+        pooled_executor = PoolExecutor(encoded, 2)
         try:
             pooled, _ = pooled_executor.run_validations(tasks, budget)
         finally:
@@ -194,8 +202,8 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["serial_tasks"] == 5
         assert snap["phases"]["wave"]["pool_tasks"] == 0
 
-    def test_pool_records_split(self, encoded):
-        executor = PoolExecutor(encoded, 2, min_rows=0)
+    def test_pool_records_split(self, encoded, no_row_floor):
+        executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
             executor.run_validations(
@@ -215,9 +223,11 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["tasks"] == 7
         assert snap["phases"]["wave"]["dispatches"] == 2
 
-    def test_subthreshold_batches_stay_serial(self, encoded):
-        executor = PoolExecutor(encoded, 2,
-                                min_rows=encoded.n_rows + 1)
+    def test_subthreshold_batches_stay_serial(self, encoded,
+                                              monkeypatch):
+        monkeypatch.setattr(thresholds, "PARALLEL_MIN_ROWS",
+                            encoded.n_rows + 1)
+        executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
             executor.run_validations(

@@ -2,8 +2,8 @@
 
 One injected task failure on a pool thread must cost a retry, never an
 answer: the chunks that finished are kept, the unfinished tasks of the
-batch re-run on the serial path, the executor is marked degraded, and
-the merged results are byte-identical to a clean run.
+batch re-run inline through the same loop, the executor is marked
+degraded, and the merged results are byte-identical to a clean run.
 """
 
 from __future__ import annotations
@@ -132,16 +132,16 @@ class TestWorkerPoolTaskFailure:
     def test_task_fault_reports_partials(self, encoded):
         contexts = singleton_partitions(encoded)
         tasks = scan_tasks(encoded)
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             with faults.injected(one_shot("worker.task")):
                 with pytest.raises(WorkerTaskError) as caught:
-                    pool.run_scans(contexts, tasks)
+                    pool.run_scans(contexts, tasks, encoded.ranks)
             partials = caught.value.partial_results
             assert len(partials) == pool.n_chunks_per_dispatch - 1
             for chunk in partials:
                 assert chunk["results"] and not chunk["timed_out"]
             assert not pool.closed
-            verdicts, _ = pool.run_scans(contexts, tasks)
+            verdicts, _ = pool.run_scans(contexts, tasks, encoded.ranks)
         assert len(verdicts) == len(tasks)
 
 

@@ -132,7 +132,7 @@ def test_densify_parity(values, compiled):
 def test_discovery_identical_across_backends(compiled):
     """End-to-end: the full FD/OCD sets of a discovery run match
     string-for-string between backends at every worker count (pool
-    threads activate the coordinator's backend per chunk)."""
+    threads inherit the coordinator's backend through the context)."""
     relation = random_relation(seed=13, n_cols=5, n_rows=400, domain=4)
     results = {}
     for backend in ("reference", "compiled"):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.errors import ConfigError
 from repro.kernels import compiled as compiled_module
 from repro.kernels import thresholds
 from repro.kernels.reference import ReferenceBackend
@@ -35,7 +36,7 @@ def test_resolve_reference_and_default():
 
 
 def test_resolve_unknown_name_raises():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
+    with pytest.raises(ConfigError, match="unknown kernel backend"):
         kernels.resolve_backend("simd")
 
 
@@ -65,24 +66,37 @@ def test_activate_none_resolves_default():
         assert backend.name == "reference"
 
 
-def test_effective_scalar_threshold_override_wins():
+def test_activation_rides_the_context():
+    """A context copy taken under ``activate`` — what a pool chunk runs
+    in — dispatches to the activated backend on another thread."""
+    import contextvars
+    import threading
+
+    seen = []
     with kernels.activate("reference"):
-        # the canonical module value defers to the backend crossover
-        assert kernels.effective_scalar_threshold(
-            thresholds.REFERENCE_SCALAR_THRESHOLD) == \
+        context = contextvars.copy_context()
+    thread = threading.Thread(target=context.run, args=(
+        lambda: seen.append(kernels.active_backend_name()),))
+    thread.start()
+    thread.join()
+    assert seen == ["reference"]
+
+
+def test_effective_scalar_threshold_override_wins(monkeypatch):
+    """A retuned :mod:`repro.kernels.thresholds` value wins at once:
+    the gate is read at call time."""
+    with kernels.activate("reference"):
+        assert kernels.active_backend().scalar_threshold == \
             thresholds.REFERENCE_SCALAR_THRESHOLD
-        # a monkeypatched module global (tests force one path with 0 or
-        # a huge value) always wins over the backend
-        assert kernels.effective_scalar_threshold(0) == 0
-        assert kernels.effective_scalar_threshold(10**9) == 10**9
+        monkeypatch.setattr(thresholds, "REFERENCE_SCALAR_THRESHOLD", 0)
+        assert kernels.active_backend().scalar_threshold == 0
 
 
 def test_effective_scalar_threshold_compiled_crossover():
     if not kernels.compiled_available():
         pytest.skip("no C toolchain; compiled backend unavailable")
     with kernels.activate("compiled"):
-        assert kernels.effective_scalar_threshold(
-            thresholds.REFERENCE_SCALAR_THRESHOLD) == \
+        assert kernels.active_backend().scalar_threshold == \
             thresholds.COMPILED_SCALAR_THRESHOLD
 
 

@@ -79,3 +79,76 @@ def test_billing_short_circuits_when_registry_disabled():
         assert _calls("reference") == before  # ...but bills nothing
     finally:
         metrics.set_enabled(True)
+
+
+def _calls_by_backend():
+    """Kernel calls billed so far, summed over kernels, per backend."""
+    return {backend: sum(
+        metrics.REGISTRY.value("repro_kernel_calls_total", kernel=kernel,
+                               backend=backend)
+        for kernel in ("product", "swap", "split", "densify"))
+        for backend in ("reference", "compiled")}
+
+
+@pytest.fixture
+def compiled_default(monkeypatch):
+    """The process default is the compiled backend (restored after)."""
+    if not kernels.compiled_available():
+        pytest.skip("no C toolchain; compiled backend unavailable")
+    monkeypatch.setattr(kernels, "_default", None)
+    kernels.set_default_backend("compiled")
+
+
+def test_pool_threads_bill_the_configured_backend(compiled_default):
+    """Pool threads inherit the run's backend through the context."""
+    import threading
+
+    from repro.core.fastod import FastOD, FastODConfig
+    from repro.datasets import make_dataset
+
+    relation = make_dataset("flight", n_rows=400, n_attrs=5, seed=3)
+    threads = set()
+    original = kernels.swap_flags
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        return original(*args)
+
+    before = _calls_by_backend()
+    try:
+        kernels.swap_flags = spy
+        result = FastOD(relation, FastODConfig(
+            workers=2, parallel_min_grouped_rows=0,
+            kernel_backend="reference")).run()
+    finally:
+        kernels.swap_flags = original
+    after = _calls_by_backend()
+    assert any(name.startswith("repro-pool") for name in threads)
+    assert result.executor_stats["phases"]["ocd-scan"]["pool_tasks"] > 0
+    assert after["compiled"] == before["compiled"]
+    assert after["reference"] > before["reference"]
+
+
+def test_incremental_engine_bills_the_configured_backend(
+        compiled_default):
+    from repro.core.fastod import FastODConfig
+    from repro.datasets import make_dataset
+    from repro.deltalog import DeltaBatch
+    from repro.incremental import IncrementalFastOD
+
+    relation = make_dataset("flight", n_rows=300, n_attrs=5, seed=2)
+    batch = list(make_dataset("flight", n_rows=40, n_attrs=5,
+                              seed=100).rows())
+    before = _calls_by_backend()
+    engine = IncrementalFastOD(
+        relation, FastODConfig(kernel_backend="reference"))
+    built = _calls_by_backend()
+    engine.append(batch)
+    appended = _calls_by_backend()
+    engine.apply_delta(DeltaBatch.from_request(
+        {"deletes": [list(relation.row(0))]}, relation.arity))
+    engine.close()
+    after = _calls_by_backend()
+    assert after["compiled"] == before["compiled"]
+    assert before["reference"] < built["reference"] \
+        < appended["reference"] < after["reference"]

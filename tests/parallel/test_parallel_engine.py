@@ -16,6 +16,7 @@ from repro.core.hybrid import hybrid_discover
 from repro.core.results import DiscoveryResult
 from repro.core.validation import CanonicalValidator
 from repro.datasets import employees, make_dataset
+from repro.errors import ConfigError
 from repro.incremental import IncrementalFastOD
 from repro.parallel.pool import resolve_workers
 from repro.relation.table import Relation
@@ -88,36 +89,26 @@ class TestDiscoveryIdentity:
         assert_identical(run(relation, 1), run(relation, workers))
 
     def test_injected_pool_is_reused_across_runs(self):
+        """One pool serves runs over different relations in turn."""
         from repro.parallel.pool import WorkerPool
 
-        relation = RELATIONS["flight"]()
-        encoded = relation.encode()
-        serial = run(relation, 1)
-        with WorkerPool(encoded, 2) as pool:
-            for _ in range(2):
-                config = FastODConfig(workers=2,
-                                      parallel_min_grouped_rows=0)
+        relations = [RELATIONS["flight"](), RELATIONS["ncvoter"](),
+                     RELATIONS["flight"]()]
+        config = FastODConfig(workers=2, parallel_min_grouped_rows=0)
+        with WorkerPool(2) as pool:
+            for relation in relations:
                 result = FastOD(relation, config, pool=pool).run()
-                assert_identical(serial, result)
+                assert_identical(run(relation, 1), result)
             assert pool.stats()["n_dispatches"] > 0
-
-    def test_pool_must_wrap_same_encoding(self):
-        from repro.parallel.pool import WorkerPool
-
-        relation = RELATIONS["tiny"]()
-        other = RELATIONS["employees"]()
-        with WorkerPool(other.encode(), 2) as pool:
-            with pytest.raises(ValueError):
-                FastOD(relation, FastODConfig(workers=2), pool=pool)
 
 
 class TestHybridIdentity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_matches_serial_hybrid_and_fastod(self, workers,
                                               monkeypatch):
-        import repro.parallel.pool as pool_module
+        from repro.kernels import thresholds
 
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(thresholds, "PARALLEL_MIN_ROWS", 0)
         relation = make_dataset("flight", n_rows=600, n_attrs=6, seed=3)
         baseline = FastOD(relation).run()
         serial = hybrid_discover(relation, workers=1)
@@ -145,9 +136,9 @@ class TestIncrementalIdentity:
 
 class TestValidatorWorkers:
     def test_class_sharded_scans_agree(self, monkeypatch):
-        import repro.parallel.pool as pool_module
+        from repro.kernels import thresholds
 
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
+        monkeypatch.setattr(thresholds, "PARALLEL_MIN_GROUPED_ROWS", 0)
         relation = make_dataset("flight", n_rows=400, n_attrs=5, seed=8)
         serial = CanonicalValidator(relation.encode())
         pooled = CanonicalValidator(relation.encode(), workers=2)
@@ -212,17 +203,17 @@ class TestTimeoutPrecision:
         context = StrippedPartition.single_class(encoded.n_rows)
         tasks = [((a, b), 0, "swap", a, b)
                  for a in range(5) for b in range(a + 1, 5)]
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             expired = DeadlineBudget(-10.0)
             verdicts, timed_out = pool.run_scans(
-                {0: context}, tasks, budget=expired)
+                {0: context}, tasks, encoded.ranks, budget=expired)
             assert timed_out
             assert verdicts == {}
             # a cancel reaches chunks already handed to the threads
             cancelled = DeadlineBudget.unlimited()
             cancelled.cancel()
             verdicts, timed_out = pool.run_scans(
-                {0: context}, tasks, budget=cancelled)
+                {0: context}, tasks, encoded.ranks, budget=cancelled)
         assert timed_out
         assert verdicts == {}
 
@@ -277,9 +268,10 @@ class TestWorkerResolution:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers(None) == 1
 
-    def test_garbage_env_is_serial(self, monkeypatch):
+    def test_garbage_env_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
-        assert resolve_workers(None) == 1
+        with pytest.raises(ConfigError, match="REPRO_WORKERS"):
+            resolve_workers(None)
 
     def test_clamps_to_one(self):
         assert resolve_workers(0) == 1

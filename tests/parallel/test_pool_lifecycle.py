@@ -1,6 +1,6 @@
 """WorkerPool operations and lifecycle: results match the serial
-kernels, rebase follows a grown relation, and shutdown — however it is
-reached — stops every pool thread."""
+kernels, one pool serves any relation a dispatch brings, and shutdown —
+however it is reached — stops every pool thread."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core.validation import (
     is_constant_in_classes,
 )
 from repro.datasets import make_dataset
+from repro.engine import ProductTask
 from repro.parallel.pool import WorkerPool
 from repro.partitions.partition import StrippedPartition
 
@@ -36,25 +37,26 @@ def singleton_partitions(encoded):
 class TestPoolOperations:
     def test_products_match_serial(self, encoded):
         parents = singleton_partitions(encoded)
-        triples = [((1 << a) | (1 << b), 1 << a, 1 << b)
-                   for a in range(encoded.arity)
-                   for b in range(a + 1, encoded.arity)]
-        with WorkerPool(encoded, 2) as pool:
-            products, timed_out = pool.run_products(parents, triples)
+        tasks = [ProductTask((1 << a) | (1 << b), 1 << a, 1 << b)
+                 for a in range(encoded.arity)
+                 for b in range(a + 1, encoded.arity)]
+        with WorkerPool(2) as pool:
+            products, timed_out = pool.run_products(parents, tasks)
             assert not timed_out
-            for child, left, right in triples:
-                serial = parents[left].product(parents[right])
-                assert np.array_equal(serial.rows, products[child].rows)
-                assert np.array_equal(serial.offsets,
-                                      products[child].offsets)
+            for task in tasks:
+                serial = parents[task.left].product(parents[task.right])
+                pooled = products[task.child]
+                assert np.array_equal(serial.rows, pooled.rows)
+                assert np.array_equal(serial.offsets, pooled.offsets)
 
     def test_scans_match_serial(self, encoded):
         parents = singleton_partitions(encoded)
         tasks = [((a, b), 1 << a, "swap", a, b)
                  for a in range(encoded.arity)
                  for b in range(encoded.arity) if a != b]
-        with WorkerPool(encoded, 2) as pool:
-            verdicts, timed_out = pool.run_scans(parents, tasks)
+        with WorkerPool(2) as pool:
+            verdicts, timed_out = pool.run_scans(parents, tasks,
+                                                 encoded.ranks)
         assert not timed_out
         for (a, b), verdict in verdicts.items():
             expected = is_compatible_in_classes(
@@ -63,10 +65,10 @@ class TestPoolOperations:
 
     def test_class_scan_matches_serial(self, encoded):
         context = StrippedPartition.for_attribute(encoded, 0)
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             for mode, a, b in (("swap", 1, 2), ("const", 3, 0)):
                 verdict, timed_out = pool.run_class_scan(
-                    mode, a, b, context)
+                    mode, a, b, context, encoded.ranks)
                 if mode == "swap":
                     expected = is_compatible_in_classes(
                         encoded.column(a), encoded.column(b), context)
@@ -83,30 +85,32 @@ class TestPoolOperations:
         tasks = [((mask, a, b), mask, "swap", a, b)
                  for mask in (1, 2, 3, 6)
                  for a, b in ((3, 4),)]
-        with WorkerPool(encoded, 2) as pool:
-            verdicts, _ = pool.run_validations(tasks)
+        with WorkerPool(2) as pool:
+            verdicts, _ = pool.run_validations(tasks, encoded)
         for (mask, a, b), verdict in verdicts.items():
             assert verdict == is_compatible_in_classes(
                 encoded.column(a), encoded.column(b), cache.get(mask))
 
-    def test_rebase_republishes_columns(self, encoded):
+    def test_one_pool_serves_two_relations(self, encoded):
         bigger = make_dataset("flight", n_rows=450, n_attrs=5,
                               seed=7).encode()
-        with WorkerPool(encoded, 2) as pool:
-            parents = singleton_partitions(encoded)
-            pool.run_scans(parents, [((0,), 1, "swap", 0, 1)])
-            pool.rebase(bigger)
-            assert pool.relation is bigger
-            parents = singleton_partitions(bigger)
-            verdicts, _ = pool.run_scans(
-                parents, [((0,), 1, "swap", 0, 1)])
-            assert verdicts[(0,)] == is_compatible_in_classes(
-                bigger.column(0), bigger.column(1), parents[1])
+        with WorkerPool(2) as pool:
+            for relation in (encoded, bigger, encoded):
+                parents = singleton_partitions(relation)
+                verdicts, _ = pool.run_scans(
+                    parents, [((0,), 1, "swap", 0, 1)], relation.ranks)
+                assert verdicts[(0,)] == is_compatible_in_classes(
+                    relation.column(0), relation.column(1), parents[1])
+                verdicts, _ = pool.run_validations(
+                    [(0, 0b100, "swap", 0, 1)], relation)
+                assert verdicts[0] == is_compatible_in_classes(
+                    relation.column(0), relation.column(1),
+                    StrippedPartition.for_attribute(relation, 2))
 
 
 class TestShutdownHygiene:
     def test_shutdown_is_idempotent(self, encoded):
-        pool = WorkerPool(encoded, 2)
+        pool = WorkerPool(2)
         pool.shutdown()
         pool.shutdown()
         assert pool.closed
@@ -114,9 +118,9 @@ class TestShutdownHygiene:
     def test_keyboard_interrupt_in_with_block_cleans_up(self, encoded):
         before = pool_threads()
         with pytest.raises(KeyboardInterrupt):
-            with WorkerPool(encoded, 2) as pool:
+            with WorkerPool(2) as pool:
                 pool.run_scans(singleton_partitions(encoded),
-                               [((0,), 1, "swap", 0, 1)])
+                               [((0,), 1, "swap", 0, 1)], encoded.ranks)
                 assert pool_threads() - before
                 raise KeyboardInterrupt()
         assert pool.closed
@@ -126,18 +130,19 @@ class TestShutdownHygiene:
         from repro.parallel.pool import WorkerTaskError
 
         parents = singleton_partitions(encoded)
-        with WorkerPool(encoded, 2) as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(WorkerTaskError, match="IndexError"):
                 # column index out of range explodes on a pool thread
-                pool.run_scans(parents, [((0,), 1, "swap", 0, 99)])
+                pool.run_scans(parents, [((0,), 1, "swap", 0, 99)],
+                               encoded.ranks)
 
     def test_finalizer_cleans_up_unclosed_pool(self, encoded):
         import gc
 
         before = pool_threads()
-        pool = WorkerPool(encoded, 2)
+        pool = WorkerPool(2)
         pool.run_scans(singleton_partitions(encoded),
-                       [((0,), 1, "swap", 0, 1)])
+                       [((0,), 1, "swap", 0, 1)], encoded.ranks)
         started = pool_threads() - before
         assert started
         del pool

@@ -1,7 +1,8 @@
 """Concurrent service jobs on ONE injected WorkerPool == direct API.
 
 The service scheduler runs every job — discover, append, validate —
-on a single shared :class:`WorkerPool`, rebasing it between jobs.
+on a single shared :class:`WorkerPool`; each dispatch brings its own
+relation.
 This extends the serial-vs-parallel identity harness one level up:
 an *interleaved job stream* (discover A, append B, discover B,
 append A, ...) executed at ``workers=2`` through the scheduler must
@@ -55,8 +56,8 @@ def relations():
 
 class TestInterleavedJobsIdentity:
     def test_discover_jobs_interleaved_across_datasets(self, scheduler):
-        """Back-to-back discoveries of different relations force pool
-        rebases between jobs; results must match serial oracles."""
+        """Back-to-back discoveries of different relations share one
+        pool; results must match serial oracles."""
         rels = relations()
         fps = {name: scheduler._catalog.register(rel).fingerprint
                for name, rel in rels.items()}
@@ -86,7 +87,7 @@ class TestInterleavedJobsIdentity:
 
     def test_interleaved_discover_and_append(self, scheduler):
         """discover A, append B, discover B', append A, discover A' —
-        one pool, many rebases — equals direct-API runs."""
+        one pool, many relations — equals direct-API runs."""
         flight = make_dataset("flight", n_rows=400, n_attrs=6, seed=11)
         voters = make_dataset("ncvoter", n_rows=300, n_attrs=5, seed=5)
         batch_f = [list(flight.row(i)) for i in range(5)]

@@ -1,7 +1,8 @@
 """Differential tests for the vectorized partition kernels.
 
 The flat-layout engine has two code paths per kernel (vectorized, and
-a scalar fallback below the ``SMALL_KERNEL_THRESHOLD`` grouped-rows threshold); these
+a scalar fallback at or below the active backend's grouped-rows
+threshold in :mod:`repro.kernels.thresholds`); these
 tests pin both against the slow oracles on randomized relations:
 
 * ``StrippedPartition.product``  vs  ``partition_from_columns``
@@ -21,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 
 import repro.core.validation as validation
-import repro.partitions.partition as partition_module
 from repro.core.od import OrderCompatibility, as_spec
 from repro.core.validation import (
     find_split,
@@ -31,6 +31,7 @@ from repro.core.validation import (
     order_compatible,
     swap_classes,
 )
+from repro.kernels import thresholds
 from repro.partitions.partition import (
     StrippedPartition,
     partition_from_columns,
@@ -43,9 +44,9 @@ from tests.conftest import random_relation, small_relations
 def force_path(request, monkeypatch):
     """Run the test body under both kernel paths regardless of size."""
     threshold = 0 if request.param == "vectorized" else 10**9
-    monkeypatch.setattr(partition_module, "SMALL_KERNEL_THRESHOLD",
-                        threshold)
-    monkeypatch.setattr(validation, "SMALL_KERNEL_THRESHOLD", threshold)
+    for name in ("REFERENCE_SCALAR_THRESHOLD",
+                 "COMPILED_SCALAR_THRESHOLD"):
+        monkeypatch.setattr(thresholds, name, threshold)
     return request.param
 
 

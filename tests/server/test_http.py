@@ -115,6 +115,17 @@ class TestDiscoverOverHttp:
         assert caught.value.status == 400
         assert "unknown config field" in str(caught.value)
 
+    @pytest.mark.parametrize("config", [
+        {"kernel_backend": "bogus"}, {"workers": "two"},
+        {"max_level": "x"}])
+    def test_mistyped_config_is_400_at_submit(self, client, config):
+        fp = client.register_rows(
+            ["k", "v"], [[1, 2], [3, 4]])["fingerprint"]
+        with pytest.raises(ServiceClientError) as caught:
+            client.discover(fp, config=config)
+        assert caught.value.status == 400
+        assert "bad config" in str(caught.value)
+
     def test_deep_results_path_is_404(self, client):
         with pytest.raises(ServiceClientError) as caught:
             client._get("/results/somefp/extra")

@@ -47,6 +47,16 @@ class TestConfigFromParams:
         with pytest.raises(JobError):
             config_from_params({"max_levle": 2})
 
+    @pytest.mark.parametrize("config", [
+        {"kernel_backend": "bogus"}, {"workers": "two"},
+        {"max_level": "x"}, {"max_level": -1},
+        {"minimality_pruning": "yes"}])
+    def test_mistyped_value_rejected_at_submit(self, scheduler, config):
+        fp = register(scheduler, small())
+        with pytest.raises(JobError, match="bad config"):
+            scheduler.submit("discover", fp, {"config": config})
+        assert scheduler.jobs() == []
+
     def test_timeout_not_a_config_field(self):
         # timeout is a job parameter, never part of the store key
         with pytest.raises(JobError):

@@ -45,6 +45,29 @@ class TestDiscover:
         assert payload["n_rows"] == 2
 
 
+class TestBadConfig:
+    """Bad settings are a one-line error and exit 2, not a traceback
+    (exit 1) or a silent fallback."""
+
+    def test_unknown_kernel_backend_env(self, csv_file, capsys,
+                                        monkeypatch):
+        from repro import kernels
+
+        monkeypatch.setattr(kernels, "_default", None)
+        monkeypatch.setenv("REPRO_KERNELS", "bogus")
+        assert main(["discover", csv_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown kernel backend 'bogus'")
+        assert "Traceback" not in err
+
+    def test_non_integer_workers_env(self, csv_file, capsys,
+                                     monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        assert main(["discover", csv_file]) == 2
+        assert "REPRO_WORKERS must be an integer" in (
+            capsys.readouterr().err)
+
+
 class TestCheck:
     def test_holds(self, csv_file, capsys):
         assert main(["check", csv_file, "{}: [] -> c2"]) == 0

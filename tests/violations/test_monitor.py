@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.od import CanonicalFD
 from repro.core.parser import parse
 from repro.core.validation import CanonicalValidator
+from repro.errors import SchemaError
 from repro.relation.table import Relation
 from repro.violations import ODMonitor
 from tests.conftest import make_relation
@@ -103,7 +104,7 @@ class TestApi:
             ODMonitor.from_relation(relation, ["{}: c0 ~ c1"])
 
     def test_unknown_attribute(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError):
             ODMonitor(["a"], ["{}: a ~ zzz"])
 
     def test_non_canonical_rejected(self):
