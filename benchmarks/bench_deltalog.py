@@ -165,7 +165,6 @@ def bench_speedup(reporter: Reporter):
             "full_seconds": full_seconds,
             "identical": same,
         })
-    engine.close()
     speedup = full_total / incremental_total
     records.append({
         "summary": True,

@@ -22,8 +22,8 @@ stdout stays the machine-parseable result either way.
 Run ``repro-od <subcommand> --help`` for details.
 
 Long-running commands (``watch``, ``serve``) exit cleanly on SIGINT
-*and* SIGTERM: worker pools and the job journal are torn down in the
-command's ``finally`` path and the process exits with the conventional
+*and* SIGTERM: ``serve`` tears its worker pool and job journal down
+in its ``finally`` path, and the process exits with the conventional
 code — 130 (128+SIGINT) or 143 (128+SIGTERM).  SIGTERM is what process
 supervisors (systemd, Docker, Kubernetes) send first, so a supervised
 ``repro-od serve`` drains gracefully on shutdown instead of being
@@ -113,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     append.add_argument("--verify", action="store_true",
                         help="assert each batch's result against a "
                              "from-scratch FASTOD run")
-    append.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="shard big append-path validation scans "
-                             "over N worker threads (default: "
-                             "$REPRO_WORKERS or 1 = serial)")
     append.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     _add_kernels_option(append)
@@ -144,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks an ephemeral port and "
                             "prints it; default 8765)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="size of the ONE shared worker pool every "
-                            "job runs on (default: $REPRO_WORKERS or "
-                            "1 = serial)")
+                       help="size of the ONE shared worker pool "
+                            "discover jobs run on (default: "
+                            "$REPRO_WORKERS or 1 = serial)")
     serve.add_argument("--store-dir", default=None, metavar="DIR",
                        help="persist discovery results here (served "
                             "across restarts); default: memory only")
@@ -179,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help='e.g. "{month}: [] -> quarter" or "[a] -> [b]"')
     check.add_argument("--limit", type=int, default=None)
     check.add_argument("--cache-max-entries", type=int, default=None)
-    check.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="shard big validation scans by context class "
-                            "over N worker threads")
     _add_kernels_option(check)
     _add_profile_option(check)
 
@@ -193,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="max witness pairs to print")
     violations.add_argument("--limit", type=int, default=None)
     violations.add_argument("--cache-max-entries", type=int, default=None)
-    violations.add_argument("--workers", type=int, default=None,
-                            metavar="N",
-                            help="shard big validation scans by context "
-                                 "class over N worker threads")
     _add_kernels_option(violations)
     _add_profile_option(violations)
 
@@ -332,27 +321,23 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
     base = read_csv(args.csv, limit=args.limit)
     config = FastODConfig(max_level=args.max_level,
-                          workers=args.workers,
                           kernel_backend=args.kernels)
     started = time.perf_counter()
     engine = IncrementalFastOD(base, config,
                                verify_with_oracle=args.verify)
     initial_seconds = time.perf_counter() - started
-    try:
-        reports = []
-        for path in args.batches:
-            if path.endswith(".json"):
-                with open(path, encoding="utf-8") as handle:
-                    spec = json.load(handle)
-                if not isinstance(spec, dict):
-                    raise DataError(
-                        f"{path}: a delta spec must be a JSON object")
-                delta = DeltaBatch.from_request(spec, base.arity)
-                reports.append(engine.apply_delta(delta))
-            else:
-                reports.append(engine.append(read_csv(path)))
-    finally:
-        engine.close()
+    reports = []
+    for path in args.batches:
+        if path.endswith(".json"):
+            with open(path, encoding="utf-8") as handle:
+                spec = json.load(handle)
+            if not isinstance(spec, dict):
+                raise DataError(
+                    f"{path}: a delta spec must be a JSON object")
+            delta = DeltaBatch.from_request(spec, base.arity)
+            reports.append(engine.apply_delta(delta))
+        else:
+            reports.append(engine.append(read_csv(path)))
     if args.json:
         print(json.dumps({
             "initial": {"n_rows": base.n_rows,
@@ -392,38 +377,33 @@ def _cmd_watch(args: argparse.Namespace) -> int:
          f"ODs {engine.result.paper_counts()}")
     batches = 0
     idle = 0
-    try:
-        while True:
-            if (args.max_batches is not None
-                    and batches >= args.max_batches):
-                break
-            if args.idle_exit is not None and idle >= args.idle_exit:
-                break
-            time.sleep(args.interval)
-            current = read_csv(args.csv)
-            if current.n_rows < seen:
-                # a rewrite/rotation, not an append: rows we already
-                # folded in are gone, so the maintained state no longer
-                # describes this file — bail out rather than splice
-                # mismatched data
-                raise DataError(
-                    f"{args.csv}: shrank from {seen} to "
-                    f"{current.n_rows} rows while watching (rotated or "
-                    f"rewritten?)")
-            if current.n_rows == seen:
-                idle += 1
-                continue
-            if current.names != engine.relation.names:
-                raise DataError(
-                    f"{args.csv}: header changed while watching")
-            fresh = current.select_rows(range(seen, current.n_rows))
-            report = engine.append(fresh)
-            seen = current.n_rows
-            batches += 1
-            idle = 0
-            emit({"event": "batch", **report.to_dict()}, str(report))
-    finally:
-        engine.close()
+    while True:
+        if args.max_batches is not None and batches >= args.max_batches:
+            break
+        if args.idle_exit is not None and idle >= args.idle_exit:
+            break
+        time.sleep(args.interval)
+        current = read_csv(args.csv)
+        if current.n_rows < seen:
+            # a rewrite/rotation, not an append: rows we already
+            # folded in are gone, so the maintained state no longer
+            # describes this file — bail out rather than splice
+            # mismatched data
+            raise DataError(
+                f"{args.csv}: shrank from {seen} to "
+                f"{current.n_rows} rows while watching (rotated or "
+                f"rewritten?)")
+        if current.n_rows == seen:
+            idle += 1
+            continue
+        if current.names != engine.relation.names:
+            raise DataError(f"{args.csv}: header changed while watching")
+        fresh = current.select_rows(range(seen, current.n_rows))
+        report = engine.append(fresh)
+        seen = current.n_rows
+        batches += 1
+        idle = 0
+        emit({"event": "batch", **report.to_dict()}, str(report))
     emit({"event": "done", "n_rows": seen, "batches": batches,
           "result": engine.result.to_dict()},
          f"done: {seen} rows after {batches} batch(es), "
@@ -463,15 +443,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
     detector = ViolationDetector(
-        relation,
-        max_cached_partitions=args.cache_max_entries,
-        workers=args.workers)
-    try:
-        with _CommandProfiler(args.profile):
-            report = detector.check(
-                args.dependency, max_witnesses=0, count_pairs=False)
-    finally:
-        detector.close()
+        relation, max_cached_partitions=args.cache_max_entries)
+    with _CommandProfiler(args.profile):
+        report = detector.check(
+            args.dependency, max_witnesses=0, count_pairs=False)
     print(f"{report.dependency}: {'HOLDS' if report.holds else 'VIOLATED'}")
     return 0 if report.holds else 1
 
@@ -479,16 +454,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_violations(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
     detector = ViolationDetector(
-        relation,
-        max_cached_partitions=args.cache_max_entries,
-        workers=args.workers)
-    try:
-        with _CommandProfiler(args.profile):
-            report = detector.check(
-                args.dependency, max_witnesses=args.witnesses,
-                count_pairs=True)
-    finally:
-        detector.close()
+        relation, max_cached_partitions=args.cache_max_entries)
+    with _CommandProfiler(args.profile):
+        report = detector.check(
+            args.dependency, max_witnesses=args.witnesses,
+            count_pairs=True)
     print(report)
     return 0 if report.holds else 1
 
@@ -644,8 +614,13 @@ _COMMANDS = {
 }
 
 
-class _Terminated(Exception):
-    """SIGTERM, re-raised as an exception so ``finally`` blocks run."""
+class _Terminated(BaseException):
+    """SIGTERM, re-raised as an exception so ``finally`` blocks run.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the HTTP server
+    catches ``Exception`` around each request it dispatches, so a
+    SIGTERM landing there would otherwise be logged and dropped, and
+    ``serve`` would keep running."""
 
 
 def _raise_terminated(signum, frame):  # noqa: ARG001 — signal contract
@@ -700,7 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # one SIGINT contract for every long-running command: the
         # interrupted command's finally blocks have already torn down
-        # engines/pools/servers, so all that is left is the final
+        # its server, so all that is left is the final
         # metrics breadcrumb and the conventional exit status
         if long_running:
             _dump_final_metrics()

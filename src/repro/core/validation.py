@@ -13,8 +13,9 @@ Two independent layers:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.core.od import (
     OrderSpec,
     as_spec,
 )
+from repro.engine.telemetry import ExecutorTelemetry, build_timings
 from repro.errors import SchemaError
 from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
@@ -96,25 +98,37 @@ def is_constant_in_classes(column: np.ndarray,
     return not split_mismatch_mask(column, context).any()
 
 
-def find_split(column: np.ndarray, context: StrippedPartition,
-               attribute: str) -> Optional[Split]:
-    """Return a witness pair violating ``X: [] ↦ A``, or ``None``.
+def collect_splits(column: np.ndarray, context: StrippedPartition,
+                   attribute: str, limit: int) -> List[Split]:
+    """Up to ``limit`` split witnesses for ``X: [] ↦ A`` (one per
+    offending class, in class order).
 
-    Mirrors :func:`is_constant_in_classes`; the first mismatching flat
-    position identifies both the offending class (via ``searchsorted``
-    on the offsets) and the witness row.
+    Offending classes are located with one vectorized segmented
+    constancy check; only those classes are touched to extract the
+    witness rows.
     """
     rows = context.rows
     if len(rows) == 0:
-        return None
-    different = np.flatnonzero(split_mismatch_mask(column, context))
-    if not different.size:
-        return None
-    position = int(different[0])
-    class_id = int(np.searchsorted(context.offsets, position,
-                                   side="right")) - 1
-    return Split(int(rows[context.offsets[class_id]]),
-                 int(rows[position]), attribute)
+        return []
+    offsets = context.offsets
+    mismatch = split_mismatch_mask(column, context)
+    per_class = np.add.reduceat(mismatch, offsets[:-1])
+    witnesses: List[Split] = []
+    for class_id in np.flatnonzero(per_class)[:limit]:
+        start, stop = offsets[class_id], offsets[class_id + 1]
+        position = start + int(np.argmax(mismatch[start:stop]))
+        witnesses.append(
+            Split(int(rows[start]), int(rows[position]), attribute))
+    return witnesses
+
+
+def find_split(column: np.ndarray, context: StrippedPartition,
+               attribute: str) -> Optional[Split]:
+    """A witness pair violating ``X: [] ↦ A``, or ``None``: the first
+    class's first mismatching row against the class's first row
+    (:func:`collect_splits` at limit 1)."""
+    witnesses = collect_splits(column, context, attribute, 1)
+    return witnesses[0] if witnesses else None
 
 
 def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
@@ -254,28 +268,35 @@ def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
     raise ValueError(f"unknown scan mode {mode!r}")
 
 
+def collect_swaps(column_a: np.ndarray, column_b: np.ndarray,
+                  context: StrippedPartition, left: str, right: str,
+                  limit: int) -> List[Swap]:
+    """Up to ``limit`` swap witnesses for ``X: A ~ B`` (one per
+    offending class, in class order).
+
+    One vectorized pass (:func:`swap_classes`) finds the offending
+    classes; the scalar witness scan then runs only on those.  Each
+    witness is oriented so that ``row_s ≺_A row_t`` while
+    ``row_t ≺_B row_s``.
+    """
+    offsets = context.offsets
+    witnesses: List[Swap] = []
+    for class_id in swap_classes(column_a, column_b, context)[:limit]:
+        class_rows = context.rows[offsets[class_id]:offsets[class_id + 1]]
+        witness = scan_find_swap(column_a, column_b, class_rows,
+                                 left, right)
+        if witness is not None:
+            witnesses.append(witness)
+    return witnesses
+
+
 def find_swap(column_a: np.ndarray, column_b: np.ndarray,
               context: StrippedPartition, left: str,
               right: str) -> Optional[Swap]:
-    """Return a witness pair violating ``X: A ~ B``, or ``None``.
-
-    The witness is oriented so that ``row_s ≺_A row_t`` while
-    ``row_t ≺_B row_s``.  Detection runs on the vectorized swap mask;
-    only the first offending class is re-scanned scalar-style to build
-    the same witness pair the original per-class scan produced.
-    """
-    if len(context.rows) == 0:
-        return None
-    flags = kernels.swap_flags(column_a, column_b, context.rows,
-                               context.offsets, context.class_ids())
-    hits = np.flatnonzero(flags)
-    if not hits.size:
-        return None
-    guilty_class = int(hits[0])
-    start = context.offsets[guilty_class]
-    stop = context.offsets[guilty_class + 1]
-    return scan_find_swap(column_a, column_b,
-                          context.rows[start:stop], left, right)
+    """A witness pair violating ``X: A ~ B``, or ``None``
+    (:func:`collect_swaps` at limit 1)."""
+    witnesses = collect_swaps(column_a, column_b, context, left, right, 1)
+    return witnesses[0] if witnesses else None
 
 
 def scan_find_swap(column_a: np.ndarray, column_b: np.ndarray,
@@ -322,28 +343,20 @@ class CanonicalValidator:
     ``max_cached_partitions`` bounds the resident composite partitions
     (LRU eviction, see :class:`PartitionCache`) for long-lived
     validators checking many ad-hoc contexts; ``None`` (default) keeps
-    every partition, the historical behavior.
+    every partition, the historical behavior.  An injected ``cache``
+    (the service catalog's warm per-dataset cache) is shared instead.
 
-    ``workers`` > 1 (or ``REPRO_WORKERS``) routes big validation scans
-    through the unified engine's pooled executor
-    (:class:`repro.engine.PoolExecutor`), which shards them by context
-    class over a worker thread pool — worthwhile for
-    single-dependency checks on tall relations, where one scan is the
-    whole workload.  Verdicts are identical at any worker count; the
-    pool spins up lazily and only for scans past the size threshold.
-    Call :meth:`close` (or rely on GC) to release the pool.
+    Every check is one linear scan over one stripped partition (§4.6),
+    run on the calling thread; each is billed as one ``class-scan``
+    task to :meth:`executor_stats`.
     """
 
     def __init__(self, relation: Union[Relation, EncodedRelation],
                  max_cached_partitions: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 cache: Optional[PartitionCache] = None,
-                 pool=None):
+                 cache: Optional[PartitionCache] = None):
         if isinstance(relation, Relation):
             relation = relation.encode()
         self._relation = relation
-        # an injected cache (the service catalog's warm per-dataset
-        # cache) is shared across validators; an owned one dies here
         if cache is not None:
             if cache.relation is not relation:
                 raise ValueError(
@@ -355,9 +368,7 @@ class CanonicalValidator:
                 relation, max_entries=max_cached_partitions)
         self._name_to_index = {
             name: i for i, name in enumerate(relation.names)}
-        from repro.engine.executors import make_executor
-        self._executor = make_executor(relation, workers=workers,
-                                       pool=pool)
+        self._telemetry = ExecutorTelemetry("serial", 1)
 
     @property
     def relation(self) -> EncodedRelation:
@@ -370,18 +381,13 @@ class CanonicalValidator:
     def executor_stats(self) -> dict:
         """Per-phase executor telemetry (the ``executor_stats``
         currency every engine entry point exposes)."""
-        return self._executor.telemetry.snapshot()
+        return self._telemetry.snapshot()
 
     def timings(self) -> dict:
         """Per-phase wall clock distilled from :meth:`executor_stats`
         (the ``timings`` currency; see
         :func:`repro.engine.telemetry.build_timings`)."""
-        from repro.engine.telemetry import build_timings
         return build_timings(self.executor_stats())
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        self._executor.close()
 
     def _index(self, name: str) -> int:
         try:
@@ -391,7 +397,12 @@ class CanonicalValidator:
                 f"unknown attribute {name!r}; relation has "
                 f"{self._relation.names}") from None
 
-    def _context_partition(self, context) -> StrippedPartition:
+    def column(self, name: str) -> np.ndarray:
+        """The rank column of attribute ``name``."""
+        return self._relation.column(self._index(name))
+
+    def context_partition(self, context) -> StrippedPartition:
+        """Π*_X for the attribute names in ``context`` (cached)."""
         mask = 0
         for name in context:
             mask |= 1 << self._index(name)
@@ -399,40 +410,31 @@ class CanonicalValidator:
 
     def holds(self, od: Union[CanonicalFD, CanonicalOCD]) -> bool:
         """Validity of one canonical OD on the instance."""
+        if od.is_trivial:
+            return True
+        started = time.perf_counter()
+        context = self.context_partition(od.context)
         if isinstance(od, CanonicalFD):
-            return self.fd_holds(od)
-        return self.ocd_holds(od)
-
-    def fd_holds(self, fd: CanonicalFD) -> bool:
-        if fd.is_trivial:
-            return True
-        return self._executor.scan_partition(
-            "const", self._index(fd.attribute), 0,
-            self._context_partition(fd.context))
-
-    def ocd_holds(self, ocd: CanonicalOCD) -> bool:
-        if ocd.is_trivial:
-            return True
-        return self._executor.scan_partition(
-            "swap", self._index(ocd.left), self._index(ocd.right),
-            self._context_partition(ocd.context))
+            verdict = is_constant_in_classes(self.column(od.attribute),
+                                             context)
+        else:
+            verdict = is_compatible_in_classes(
+                self.column(od.left), self.column(od.right), context)
+        self._telemetry.record("class-scan", 1, False,
+                               time.perf_counter() - started)
+        return verdict
 
     def witness(self, od: Union[CanonicalFD, CanonicalOCD]
                 ) -> Optional[Union[Split, Swap]]:
         """A violating tuple pair, or ``None`` when the OD holds."""
-        if isinstance(od, CanonicalFD):
-            if od.is_trivial:
-                return None
-            column = self._relation.column(self._index(od.attribute))
-            return find_split(column, self._context_partition(od.context),
-                              od.attribute)
         if od.is_trivial:
             return None
-        column_a = self._relation.column(self._index(od.left))
-        column_b = self._relation.column(self._index(od.right))
-        return find_swap(column_a, column_b,
-                         self._context_partition(od.context),
-                         od.left, od.right)
+        context = self.context_partition(od.context)
+        if isinstance(od, CanonicalFD):
+            return find_split(self.column(od.attribute), context,
+                              od.attribute)
+        return find_swap(self.column(od.left), self.column(od.right),
+                         context, od.left, od.right)
 
 
 # ----------------------------------------------------------------------

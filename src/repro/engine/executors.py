@@ -1,12 +1,13 @@
 """Pluggable executors: where planner-emitted tasks actually run.
 
 An executor resolves the typed work units of :mod:`repro.engine.tasks`
-plus the two ad-hoc scan shapes the rest of the library needs
-(mask-derived validations for the hybrid escalation waves and
-bidirectional/pointwise sweeps; single class-sharded scans for the
-validator/detector/incremental append paths).  The batch loops
-themselves live once in :mod:`repro.parallel.pool`; two executors
-decide where they run:
+plus mask-derived validations (the hybrid escalation waves and the
+bidirectional/pointwise sweeps) — batches of independent lattice
+work.  A single dependency check is one linear scan with nothing to
+shard, so the validator, detector and incremental engine run theirs on
+the calling thread without an executor.  The batch loops themselves
+live once in :mod:`repro.parallel.pool`; two executors decide where
+they run:
 
 * :class:`SerialExecutor` runs each loop inline on the coordinator,
   consulting the :class:`~repro.engine.budget.DeadlineBudget` between
@@ -44,7 +45,6 @@ from repro.parallel.pool import (
     product_loop,
     resolve_workers,
     scan_loop,
-    scan_verdict,
     validation_loop,
 )
 from repro.partitions.cache import PartitionCache
@@ -62,17 +62,6 @@ class SerialExecutor:
         self._relation = relation
         self._cache: Optional[PartitionCache] = None
         self.telemetry = telemetry or ExecutorTelemetry("serial", 1)
-
-    @property
-    def relation(self) -> EncodedRelation:
-        return self._relation
-
-    def rebase(self, relation: EncodedRelation) -> None:
-        """Follow a grown relation (the incremental append path)."""
-        if relation is self._relation:
-            return
-        self._relation = relation
-        self._cache = None
 
     def close(self) -> None:
         pass
@@ -118,16 +107,6 @@ class SerialExecutor:
                         budget: DeadlineBudget, phase: str = "wave"
                         ) -> Tuple[Dict[Hashable, bool], bool]:
         return self._inline(phase, self._validation_loop(), tasks, budget)
-
-    def scan_partition(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition) -> bool:
-        """One whole-partition scan (validator/detector/incremental)."""
-        started = time.perf_counter()
-        verdict = scan_verdict(mode, self._relation.ranks, a, b,
-                               partition)
-        self.telemetry.record("class-scan", 1, False,
-                              time.perf_counter() - started)
-        return verdict
 
 
 class PoolExecutor(SerialExecutor):
@@ -252,23 +231,6 @@ class PoolExecutor(SerialExecutor):
             phase, tasks, lambda task: task[0], self._validation_loop(),
             budget,
             lambda pool: pool.run_validations(tasks, relation, budget))
-
-    def scan_partition(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition) -> bool:
-        # the scan shards by context class
-        if mode == "pointwise" or self._small(partition.n_classes,
-                                              len(partition.rows)):
-            return super().scan_partition(mode, a, b, partition)
-        started = time.perf_counter()
-        try:
-            verdict, _ = self._pool().run_class_scan(
-                mode, a, b, partition, self._relation.ranks)
-        except PoolDispatchError:
-            self._note_failure("class-scan", 1)
-            return super().scan_partition(mode, a, b, partition)
-        self.telemetry.record("class-scan", 1, True,
-                              time.perf_counter() - started)
-        return verdict
 
 
 def make_executor(relation: EncodedRelation,

@@ -117,10 +117,10 @@ def discover_conditional_ods(relation: Relation, *,
                              ) -> ConditionalDiscoveryResult:
     """Find canonical ODs that hold conditionally but not globally.
 
-    Per-fragment discovery and the global redundancy filter both route
-    through the unified engine, so ``workers`` shards big fragments'
-    level work and the global validator's scans over one worker pool
-    policy, and ``timeout_seconds`` is one
+    Per-fragment discovery routes through the unified engine, so
+    ``workers`` shards big fragments' level work over one shared
+    worker pool; the global redundancy filter checks one candidate at
+    a time on the calling thread.  ``timeout_seconds`` is one
     :class:`~repro.engine.DeadlineBudget` shared across fragments
     (each fragment run receives the remaining budget; a timed-out
     sweep returns the conditionals confirmed so far flagged
@@ -140,16 +140,15 @@ def discover_conditional_ods(relation: Relation, *,
         with huge contexts are rarely interesting and fragments are
         many.
     workers:
-        Worker-pool size for fragment discovery and global validation
-        (``None`` defers to ``REPRO_WORKERS``; 1 = serial).
+        Worker-pool size for fragment discovery (``None`` defers to
+        ``REPRO_WORKERS``; 1 = serial).
     timeout_seconds:
         Best-effort wall-clock budget for the whole sweep.
     """
     started = time.perf_counter()
     budget = DeadlineBudget(timeout_seconds)
     result = ConditionalDiscoveryResult()
-    global_validator = CanonicalValidator(relation.encode(),
-                                          workers=workers)
+    global_validator = CanonicalValidator(relation.encode())
     attributes = _condition_attributes(relation, max_condition_domain)
     n_workers = resolve_workers(workers)
     # one worker pool for every fragment run; its threads start on the
@@ -186,7 +185,6 @@ def discover_conditional_ods(relation: Relation, *,
     finally:
         result.executor_stats = global_validator.executor_stats()
         result.timings = build_timings(result.executor_stats)
-        global_validator.close()
         if shared_pool is not None:
             shared_pool.shutdown()
     result.ods.sort(key=lambda c: (-c.support, str(c)))

@@ -73,13 +73,16 @@ import numpy as np
 from repro import kernels
 from repro.core.candidates import LatticeNode
 from repro.core.fastod import FastOD, FastODConfig
-from repro.core.validation import find_split, find_swap
+from repro.core.validation import (
+    find_split,
+    find_swap,
+    is_compatible_in_classes,
+)
 from repro.core.results import DiscoveryResult, diff_results
 from repro.engine.budget import DeadlineBudget
-from repro.engine.executors import make_executor
 from repro.engine.planner import LatticePlanner, TraversalBackend
 from repro.engine.tasks import FdCheckTask, OcdScanTask
-from repro.engine.telemetry import build_timings
+from repro.engine.telemetry import ExecutorTelemetry, build_timings
 from repro.errors import DataError
 from repro.incremental.delta import BatchEffect, DeltaPartition, GroupTracker
 from repro.relation.encoding import sort_key
@@ -162,8 +165,7 @@ class IncrementalFastOD:
 
     def __init__(self, relation: Relation,
                  config: Optional[FastODConfig] = None,
-                 verify_with_oracle: bool = False,
-                 pool=None):
+                 verify_with_oracle: bool = False):
         config = config or FastODConfig()
         if config.timeout_seconds is not None:
             raise ValueError(
@@ -217,12 +219,10 @@ class IncrementalFastOD:
         self._batch_effects: Dict[int, BatchEffect] = {}
         self._sort_key_cols: Dict[int, List[tuple]] = {}
         self._n_batches = 0
-        # an injected WorkerPool is shared with other engines (the
-        # service job scheduler runs every job's scans on one pool) and
-        # survives close(); an owned pool dies with this engine
-        self._executor = make_executor(
-            self._encoded, workers=config.workers, pool=pool,
-            min_grouped_rows=config.parallel_min_grouped_rows)
+        #: per-phase counters across the build and every batch (the
+        #: traversal's fd-check/ocd-scan tasks and the class-scans
+        #: behind never-seen OCD candidates)
+        self._telemetry = ExecutorTelemetry("serial", 1)
         with kernels.activate(config.kernel_backend):
             self._result = self._traverse()
         if self._verify:
@@ -252,22 +252,19 @@ class IncrementalFastOD:
     def n_batches(self) -> int:
         return self._n_batches
 
-    def close(self) -> None:
-        """Shut down the append-path worker pool, if one was started."""
-        self._executor.close()
-
     def executor_stats(self) -> Dict[str, object]:
         """Cumulative per-phase executor telemetry across batches."""
-        return self._executor.telemetry.snapshot()
+        return self._telemetry.snapshot()
 
     def _scan_compatible(self, a: int, b: int, partition) -> bool:
-        """One full swap scan through the engine executor —
-        class-sharded over the worker pool when the context is big
-        enough (``FastODConfig.workers`` / ``REPRO_WORKERS``); the
-        executor follows each grown relation via
-        :meth:`repro.engine.SerialExecutor.rebase`."""
-        self._executor.rebase(self._encoded)
-        return self._executor.scan_partition("swap", a, b, partition)
+        """One full swap scan over the current relation, on the
+        calling thread, billed as one ``class-scan`` task."""
+        started = time.perf_counter()
+        verdict = is_compatible_in_classes(
+            self._encoded.column(a), self._encoded.column(b), partition)
+        self._telemetry.record("class-scan", 1, False,
+                               time.perf_counter() - started)
+        return verdict
 
     @_on_config_backend
     def append(self, batch: Union[Relation, Iterable[Sequence]]
@@ -464,7 +461,6 @@ class IncrementalFastOD:
         self._ocd_false = self._salvage_false(
             self._ocd_false, self._ocd_witness, new_index)
         if traverse:
-            self._executor.rebase(encoded)
             self._result = self._traverse()
         else:
             # held OCD state is gone; trim the per-batch schedule to
@@ -847,8 +843,7 @@ class IncrementalFastOD:
         # the carried result's profile is the cumulative executor
         # truth (same source :meth:`executor_stats` reports), so the
         # maintained result always serializes with timings attached
-        result.executor_stats = \
-            self._executor.telemetry.snapshot()
+        result.executor_stats = self._telemetry.snapshot()
         result.timings = build_timings(result.executor_stats,
                                        result.level_stats)
         return result
@@ -901,12 +896,12 @@ class _CacheBackend(TraversalBackend):
 
     def fd_phase_complete(self, level: int, n_candidates: int,
                           seconds: float = 0.0) -> None:
-        self._engine._executor.telemetry.record(
+        self._engine._telemetry.record(
             "fd-check", n_candidates, False, seconds)
 
     def ocd_verdicts(self, level: int, tasks: List[OcdScanTask],
                      before_previous: Dict[int, LatticeNode]):
-        self._engine._executor.telemetry.record(
+        self._engine._telemetry.record(
             "ocd-scan", len(tasks), False)
         return {task: self._engine._ocd_valid(task.context_mask,
                                               task.a, task.b)
@@ -916,5 +911,4 @@ class _CacheBackend(TraversalBackend):
         return {mask: LatticeNode(mask, None) for mask in masks}
 
     def finish(self, result: DiscoveryResult) -> None:
-        result.executor_stats = \
-            self._engine._executor.telemetry.snapshot()
+        result.executor_stats = self._engine._telemetry.snapshot()

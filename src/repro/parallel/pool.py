@@ -396,37 +396,6 @@ class WorkerPool:
 
         return self._dispatch("validations", run, list(tasks), budget)
 
-    def run_class_scan(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition,
-                       columns: Sequence[np.ndarray], budget=None
-                       ) -> Tuple[bool, bool]:
-        """One big scan sharded by context class (the single-dependency
-        path behind ``check``/``violations`` and incremental
-        revalidation).  Classes are split into contiguous chunks of
-        near-equal grouped rows; each chunk is a valid stripped
-        partition in its own right, so threads run the stock kernels.
-        Returns ``(verdict, timed_out)``."""
-        offsets = partition.offsets
-        n_chunks = max(1, min(self.workers * 2, partition.n_classes))
-        targets = np.linspace(0, len(partition.rows), n_chunks + 1)
-        bounds = np.unique(np.searchsorted(offsets, targets[1:-1]))
-        class_bounds = [0, *[int(b) for b in bounds], partition.n_classes]
-        contexts: Dict[Hashable, StrippedPartition] = {}
-        tasks: List[ScanTask] = []
-        for index in range(len(class_bounds) - 1):
-            lo, hi = class_bounds[index], class_bounds[index + 1]
-            if lo >= hi:
-                continue
-            contexts[index] = StrippedPartition.from_flat(
-                partition.rows[offsets[lo]:offsets[hi]],
-                offsets[lo:hi + 1] - offsets[lo], partition.n_rows)
-            tasks.append((index, index, mode, a, b))
-        if not tasks:
-            return True, False
-        verdicts, timed_out = self.run_scans(contexts, tasks, columns,
-                                             budget)
-        return all(verdicts.values()), timed_out
-
     # -- reporting ------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Aggregate dispatch telemetry (see also :attr:`dispatches`)."""

@@ -22,11 +22,11 @@ does.  :class:`DatasetCatalog` keeps registered relations *warm*:
 * residency is bounded by a byte budget over the encoded rank columns
   (``max_resident_bytes``): least-recently-*used* entries are evicted
   first, streaming entries included (their incremental engines are
-  closed on the way out).  The entry being registered or touched is
+  dropped on the way out).  The entry being registered or touched is
   never the eviction victim, and neither is a *pinned* entry — the
   scheduler pins the entry a job is running against, so eviction
-  (which fires on HTTP handler threads) can never close an engine the
-  runner thread is using.
+  (which fires on HTTP handler threads) can never drop an entry a job
+  is using — e.g. between applying a delta and re-keying the entry.
 
 Thread safety: every public method takes the catalog lock, so HTTP
 handler threads and the job-runner thread can share one catalog.  The
@@ -102,7 +102,7 @@ class CatalogEntry:
         #: timestamps tie at microsecond granularity)
         self.recency = 0
         #: active pins (a running job) — a pinned entry is never the
-        #: eviction victim, so eviction cannot close an engine mid-job
+        #: eviction victim, so eviction cannot drop it mid-job
         self.pins = 0
         self.n_appended_batches = 0
         #: fingerprints this entry previously answered to (append
@@ -117,9 +117,8 @@ class CatalogEntry:
         return self.encoded.rank_nbytes
 
     def close(self) -> None:
-        if self.incremental is not None:
-            self.incremental.close()
-            self.incremental = None
+        """Drop the entry's incremental engine."""
+        self.incremental = None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -250,22 +249,18 @@ class DatasetCatalog:
     # ------------------------------------------------------------------
     # the streaming (append) path
     # ------------------------------------------------------------------
-    def ensure_incremental(self, fp: str, config: FastODConfig,
-                           pool=None):
+    def ensure_incremental(self, fp: str, config: FastODConfig):
         """The entry's delta-maintenance engine, created on first use.
 
-        ``pool`` is the scheduler's shared :class:`WorkerPool`; it is
-        injected so append scans run on the same threads as every
-        other job.  The engine's config is fixed at creation — later
-        appends reuse it regardless of per-request config (the result
-        store key records which config the maintained result answers).
+        The engine's config is fixed at creation — later appends reuse
+        it regardless of per-request config (the result store key
+        records which config the maintained result answers).
         """
         from repro.incremental import IncrementalFastOD
 
         entry = self.get(fp)
         if entry.incremental is None:
-            entry.incremental = IncrementalFastOD(
-                entry.relation, config, pool=pool)
+            entry.incremental = IncrementalFastOD(entry.relation, config)
         return entry.incremental
 
     def rekey_after_delta(self, entry: CatalogEntry,
@@ -316,9 +311,6 @@ class DatasetCatalog:
             self._sync_gauges()
             return new_fp
 
-    #: backwards-compatible alias — appends are just insert-only deltas
-    rekey_after_append = rekey_after_delta
-
     def add_forward(self, old_fp: str, new_fp: str) -> None:
         """Record that ``old_fp`` named an earlier snapshot of the
         entry now keyed ``new_fp`` (boot-time delta replay restores the
@@ -333,7 +325,7 @@ class DatasetCatalog:
     def pin(self, entry: CatalogEntry) -> None:
         """Shield an entry from eviction while a job uses it (the
         scheduler pins around every job; eviction runs on HTTP
-        handler threads and must never close an engine mid-job)."""
+        handler threads and must never drop an entry mid-job)."""
         with self._lock:
             entry.pins += 1
 

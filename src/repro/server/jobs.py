@@ -4,12 +4,13 @@ The service accepts jobs from many HTTP threads at once but runs them
 one at a time on a single runner thread.  That is a deliberate trade,
 not a limitation:
 
-* **one shared** :class:`~repro.parallel.WorkerPool` serves every job
-  (discover products/scans, append-path re-scans, big validate
-  checks).  The pool holds no relation — each dispatch brings its own
-  inputs — so its threads start once per server instead of once per
-  request, and one set of threads (not one per job) bounds the
-  server's memory;
+* **one shared** :class:`~repro.parallel.WorkerPool` serves every
+  discover job's level-wise products and scans.  The pool holds no
+  relation — each dispatch brings its own inputs — so its threads
+  start once per server instead of once per request, and one set of
+  threads (not one per job) bounds the server's memory.  Validate,
+  violations, append and delta jobs check single dependencies — one
+  linear scan each — and run on the runner thread;
 * intra-job parallelism (the level-wise sharding of PR 3/4) already
   uses every core; running two discoveries concurrently would only
   interleave their pool dispatches;
@@ -471,8 +472,9 @@ class JobScheduler:
     # execution (the runner thread only)
     # ------------------------------------------------------------------
     def _shared_pool(self) -> Optional[WorkerPool]:
-        """The one pool every job shares (one set of threads for the
-        server's life).  ``None`` when the server runs serial."""
+        """The one pool every discover job shares (one set of threads
+        for the server's life).  ``None`` when the server runs
+        serial."""
         if self._workers < 2:
             return None
         if self._pool is None:
@@ -516,7 +518,7 @@ class JobScheduler:
             try:
                 # pin the entry for the job's whole run: catalog
                 # eviction fires on HTTP handler threads and must not
-                # close this entry's engines while we use them
+                # drop this entry while we use it
                 pinned = self._catalog.get(job.fingerprint)
                 self._catalog.pin(pinned)
                 handler = getattr(self, f"_run_{job.kind}")
@@ -574,9 +576,8 @@ class JobScheduler:
             job.executor_stats = cached_executor_stats()
             self._finish_ok(job)
             return
-        pool = self._shared_pool()
         result = FastOD(entry.relation, config, cache=entry.cache,
-                        pool=pool).run(budget=job.budget)
+                        pool=self._shared_pool()).run(budget=job.budget)
         stored = self._store.put(entry.fingerprint, config, result)
         job.payload = {"result": result.to_dict(), "stored": stored}
         job.executor_stats = result.executor_stats
@@ -588,18 +589,11 @@ class JobScheduler:
         dependency = job.params.get("dependency")
         if not dependency:
             raise JobError(f"{job.kind} jobs need a 'dependency'")
-        pool = self._shared_pool()
-        detector = ViolationDetector(
-            entry.relation, cache=entry.cache, workers=self._workers,
-            pool=pool)
-        try:
-            report = detector.check(
-                dependency, max_witnesses=max_witnesses,
-                count_pairs=count_pairs)
-            job.payload = {"report": report.to_dict()}
-            job.executor_stats = detector.executor_stats()
-        finally:
-            detector.close()
+        detector = ViolationDetector(entry.relation, cache=entry.cache)
+        report = detector.check(dependency, max_witnesses=max_witnesses,
+                                count_pairs=count_pairs)
+        job.payload = {"report": report.to_dict()}
+        job.executor_stats = detector.executor_stats()
         self._finish_ok(job)
 
     def _run_validate(self, job: Job) -> None:
@@ -656,9 +650,8 @@ class JobScheduler:
         cached ODs would be silently stale).
         """
         config = config_from_params(job.params.get("config"))
-        pool = self._shared_pool()
-        engine = self._catalog.ensure_incremental(
-            entry.fingerprint, config, pool=pool)
+        engine = self._catalog.ensure_incremental(entry.fingerprint,
+                                                  config)
         old_fp = entry.fingerprint
         preview = batch.apply_to(engine.relation)
         if preview.n_rows == 0:

@@ -27,11 +27,8 @@ from repro.core.validation import (
     CanonicalValidator,
     Split,
     Swap,
-    find_split,
-    find_swap,
-    scan_find_swap,
-    split_mismatch_mask,
-    swap_classes,
+    collect_splits,
+    collect_swaps,
 )
 from repro.partitions.partition import StrippedPartition, value_group_sizes
 from repro.relation.table import Relation
@@ -130,52 +127,6 @@ def count_swap_pairs(column_a: np.ndarray, column_b: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# witness collection
-# ----------------------------------------------------------------------
-def collect_splits(column: np.ndarray, context: StrippedPartition,
-                   attribute: str, limit: int) -> List[Split]:
-    """Up to ``limit`` split witnesses (one per offending class).
-
-    Offending classes are located with one vectorized segmented
-    constancy check; only those classes are touched to extract the
-    witness rows.
-    """
-    rows = context.rows
-    if len(rows) == 0:
-        return []
-    offsets = context.offsets
-    mismatch = split_mismatch_mask(column, context)
-    per_class = np.add.reduceat(mismatch, offsets[:-1])
-    witnesses: List[Split] = []
-    for class_id in np.flatnonzero(per_class)[:limit]:
-        start, stop = offsets[class_id], offsets[class_id + 1]
-        position = start + int(np.argmax(mismatch[start:stop]))
-        witnesses.append(
-            Split(int(rows[start]), int(rows[position]), attribute))
-    return witnesses
-
-
-def collect_swaps(column_a: np.ndarray, column_b: np.ndarray,
-                  context: StrippedPartition, left: str, right: str,
-                  limit: int) -> List[Swap]:
-    """Up to ``limit`` swap witnesses (one per offending class).
-
-    One vectorized pass (:func:`repro.core.validation.swap_classes`)
-    finds the offending classes; the scalar witness scan then runs only
-    on those.
-    """
-    offsets = context.offsets
-    witnesses: List[Swap] = []
-    for class_id in swap_classes(column_a, column_b, context)[:limit]:
-        class_rows = context.rows[offsets[class_id]:offsets[class_id + 1]]
-        witness = scan_find_swap(column_a, column_b, class_rows,
-                                 left, right)
-        if witness is not None:
-            witnesses.append(witness)
-    return witnesses
-
-
-# ----------------------------------------------------------------------
 # the public checker
 # ----------------------------------------------------------------------
 class ViolationDetector:
@@ -185,32 +136,21 @@ class ViolationDetector:
     (LRU) for detectors that outlive one query — e.g. monitoring many
     rules against a large relation; default is unbounded.
 
-    ``workers`` routes big hold-checks through the unified engine's
-    pooled executor, which shards them by context class across a
-    worker thread pool (see
-    :class:`repro.core.validation.CanonicalValidator`); witness
-    extraction and pair counting stay on the coordinator.
+    Each canonical part is decided by one
+    :class:`~repro.core.validation.CanonicalValidator` scan; witnesses
+    and pair counts are computed only for violated parts.
     """
 
     def __init__(self, relation: Relation,
                  max_cached_partitions: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 cache=None, pool=None):
-        self._relation = relation
+                 cache=None):
         self._validator = CanonicalValidator(
             relation.encode(),
-            max_cached_partitions=max_cached_partitions,
-            workers=workers, cache=cache, pool=pool)
-        self._encoded = self._validator.relation
-        self._index = {name: i for i, name in enumerate(self._encoded.names)}
-
-    def close(self) -> None:
-        """Release the validator's worker pool, if one was started."""
-        self._validator.close()
+            max_cached_partitions=max_cached_partitions, cache=cache)
+        self._names = self._validator.relation.names
 
     def executor_stats(self) -> dict:
-        """Per-phase executor telemetry of the underlying validator
-        (tasks dispatched, serial-vs-pool split, peak residency)."""
+        """Per-phase executor telemetry of the underlying validator."""
         return self._validator.executor_stats()
 
     def timings(self) -> dict:
@@ -229,12 +169,12 @@ class ViolationDetector:
         """
         if isinstance(dependency, str):
             dependency = parse(dependency)
-        unknown = sorted(_mentioned(dependency) - set(self._index))
+        unknown = sorted(_mentioned(dependency) - set(self._names))
         if unknown:
             raise SchemaError(
                 f"unknown attribute(s) {', '.join(unknown)} in "
                 f"{dependency}; the relation has "
-                f"{', '.join(self._encoded.names)}")
+                f"{', '.join(self._names)}")
         if isinstance(dependency, CanonicalFD):
             return self._check_fd(dependency, max_witnesses, count_pairs)
         if isinstance(dependency, CanonicalOCD):
@@ -253,39 +193,31 @@ class ViolationDetector:
         raise TypeError(f"unsupported dependency object: {dependency!r}")
 
     # -- leaves ---------------------------------------------------------
-    def _context_partition(self, context) -> StrippedPartition:
-        mask = 0
-        for name in context:
-            mask |= 1 << self._index[name]
-        return self._validator.cache.get(mask)
-
     def _check_fd(self, fd: CanonicalFD, max_witnesses: int,
                   count_pairs: bool) -> ViolationReport:
-        if fd.is_trivial:
+        if self._validator.holds(fd):
             return ViolationReport(str(fd), holds=True)
-        partition = self._context_partition(fd.context)
-        column = self._encoded.column(self._index[fd.attribute])
-        witnesses = collect_splits(column, partition, fd.attribute,
-                                   max_witnesses)
-        holds = find_split(column, partition, fd.attribute) is None
-        pairs = (count_split_pairs(column, partition)
-                 if count_pairs and not holds else 0)
-        return ViolationReport(str(fd), holds, pairs, list(witnesses))
+        partition = self._validator.context_partition(fd.context)
+        column = self._validator.column(fd.attribute)
+        witnesses = (collect_splits(column, partition, fd.attribute,
+                                    max_witnesses)
+                     if max_witnesses > 0 else [])
+        pairs = count_split_pairs(column, partition) if count_pairs else 0
+        return ViolationReport(str(fd), False, pairs, witnesses)
 
     def _check_ocd(self, ocd: CanonicalOCD, max_witnesses: int,
                    count_pairs: bool) -> ViolationReport:
-        if ocd.is_trivial:
+        if self._validator.holds(ocd):
             return ViolationReport(str(ocd), holds=True)
-        partition = self._context_partition(ocd.context)
-        column_a = self._encoded.column(self._index[ocd.left])
-        column_b = self._encoded.column(self._index[ocd.right])
-        witnesses = collect_swaps(column_a, column_b, partition,
-                                  ocd.left, ocd.right, max_witnesses)
-        holds = not witnesses and find_swap(
-            column_a, column_b, partition, ocd.left, ocd.right) is None
+        partition = self._validator.context_partition(ocd.context)
+        column_a = self._validator.column(ocd.left)
+        column_b = self._validator.column(ocd.right)
+        witnesses = (collect_swaps(column_a, column_b, partition,
+                                   ocd.left, ocd.right, max_witnesses)
+                     if max_witnesses > 0 else [])
         pairs = (count_swap_pairs(column_a, column_b, partition)
-                 if count_pairs and not holds else 0)
-        return ViolationReport(str(ocd), holds, pairs, list(witnesses))
+                 if count_pairs else 0)
+        return ViolationReport(str(ocd), False, pairs, witnesses)
 
     # -- composites -----------------------------------------------------
     def _check_composite(self, label: str, parts: Sequence,

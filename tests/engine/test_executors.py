@@ -136,20 +136,6 @@ class TestSerialPoolEquivalence:
             assert np.array_equal(serial[mask].offsets,
                                   pooled[mask].offsets)
 
-    def test_scan_partition_agrees(self, encoded):
-        cache = PartitionCache(encoded)
-        partition = cache.get(0b1)
-        serial = SerialExecutor(encoded)
-        pooled_executor = PoolExecutor(encoded, 2, min_grouped_rows=0)
-        try:
-            for mode, a, b in [("swap", 1, 2), ("const", 3, 0),
-                               ("swap_desc", 1, 2)]:
-                assert (serial.scan_partition(mode, a, b, partition)
-                        == pooled_executor.scan_partition(
-                            mode, a, b, partition))
-        finally:
-            pooled_executor.close()
-
 
 class TestKernelModes:
     """The serial kernels the modes map onto (oracle checks)."""
@@ -238,21 +224,3 @@ class TestTelemetry:
         snap = executor.telemetry.snapshot()
         assert snap["phases"]["wave"]["pool_tasks"] == 0
         assert snap["phases"]["wave"]["serial_tasks"] == 6
-
-
-class TestRebase:
-    def test_serial_rebase_follows_relation(self):
-        first = make_dataset("flight", n_rows=60, n_attrs=4,
-                             seed=1).encode()
-        second = make_dataset("flight", n_rows=80, n_attrs=4,
-                              seed=2).encode()
-        executor = SerialExecutor(first)
-        budget = DeadlineBudget.unlimited()
-        executor.run_validations([(0, 0b11, "swap", 0, 1)], budget)
-        executor.rebase(second)
-        assert executor.relation is second
-        verdicts, _ = executor.run_validations(
-            [(0, 0b11, "swap", 0, 1)], budget)
-        cache = PartitionCache(second)
-        assert verdicts[0] == is_compatible_in_classes(
-            second.column(0), second.column(1), cache.get(0b11))

@@ -81,39 +81,34 @@ class TestIncrementalGolden:
         engine = IncrementalFastOD(
             Relation.from_rows(base.names, list(base.rows())), config)
         expected = GOLDEN["incremental"]["flight300+3x40"]
-        try:
-            assert od_strings(engine.result) == expected[0]
-            for i in range(3):
-                engine.append(list(make_dataset(
-                    "flight", n_rows=40, n_attrs=5,
-                    seed=100 + i).rows()))
-                assert od_strings(engine.result) == expected[i + 1]
-        finally:
-            engine.close()
+        assert od_strings(engine.result) == expected[0]
+        for i in range(3):
+            engine.append(list(make_dataset(
+                "flight", n_rows=40, n_attrs=5, seed=100 + i).rows()))
+            assert od_strings(engine.result) == expected[i + 1]
 
 
 class TestValidatorDetectorGolden:
+    """Single-dependency checks scan on the calling thread; their
+    verdicts must not depend on the process's ``REPRO_WORKERS``."""
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_validator_verdicts(self, workers):
+    def test_validator_verdicts(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         flight = relation_named("flight")
-        validator = CanonicalValidator(flight.encode(), workers=workers)
-        try:
-            for text, expected in GOLDEN["validator"]["flight"].items():
-                assert validator.holds(parse(text)) == expected, text
-        finally:
-            validator.close()
+        validator = CanonicalValidator(flight.encode())
+        for text, expected in GOLDEN["validator"]["flight"].items():
+            assert validator.holds(parse(text)) == expected, text
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_detector_reports(self, workers):
+    def test_detector_reports(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         flight = relation_named("flight")
-        detector = ViolationDetector(flight, workers=workers)
-        try:
-            for text, expected in GOLDEN["detector"]["flight"].items():
-                report = detector.check(text)
-                assert report.holds == expected["holds"], text
-                assert report.n_violating_pairs == expected["pairs"]
-        finally:
-            detector.close()
+        detector = ViolationDetector(flight)
+        for text, expected in GOLDEN["detector"]["flight"].items():
+            report = detector.check(text)
+            assert report.holds == expected["holds"], text
+            assert report.n_violating_pairs == expected["pairs"]
 
 
 class TestExtensionsGolden:

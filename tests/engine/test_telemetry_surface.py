@@ -52,33 +52,29 @@ class TestEntryPointsExposeStats:
 
     def test_incremental(self):
         engine = IncrementalFastOD(employees())
-        try:
-            assert_shape(engine.result.executor_stats)
-            assert engine.result.executor_stats["phases"][
-                "fd-check"]["tasks"] > 0
-            assert_shape(engine.executor_stats())
-        finally:
-            engine.close()
+        assert_shape(engine.result.executor_stats)
+        assert engine.result.executor_stats["phases"][
+            "fd-check"]["tasks"] > 0
+        stats = engine.executor_stats()
+        assert_shape(stats)
+        # never-seen OCD candidates are scanned on the calling thread
+        scans = stats["phases"]["class-scan"]
+        assert scans["tasks"] == scans["serial_tasks"] > 0
 
     def test_validator_and_detector(self):
         relation = employees()
         validator = CanonicalValidator(relation.encode())
-        try:
-            for od in FastOD(relation).run().all_ods:
-                validator.holds(od)
-            stats = validator.executor_stats()
-        finally:
-            validator.close()
+        for od in FastOD(relation).run().all_ods:
+            validator.holds(od)
+        stats = validator.executor_stats()
         assert_shape(stats)
         assert stats["phases"]["class-scan"]["tasks"] > 0
 
         detector = ViolationDetector(relation)
-        try:
-            detector.check("{posit}: [] -> bin")
-            stats = detector.executor_stats()
-        finally:
-            detector.close()
+        detector.check("{posit}: [] -> bin")
+        stats = detector.executor_stats()
         assert_shape(stats)
+        assert stats["phases"]["class-scan"]["tasks"] == 1
 
 
 class TestJsonAndRoundTrip:

@@ -63,7 +63,6 @@ class TestDeltaSemantics:
         assert report.n_appended == 0
         assert report.n_rows == 2
         assert report.retraversed
-        engine.close()
 
     def test_update_is_delete_plus_insert(self):
         engine = IncrementalFastOD(
@@ -73,7 +72,6 @@ class TestDeltaSemantics:
             DeltaBatch.updates([((2, 20), (2, 25))]))
         assert report.n_deleted == 1 and report.n_appended == 1
         assert list(engine.relation.rows()) == [(1, 10), (2, 25)]
-        engine.close()
 
     def test_cancelling_batch_is_noop(self):
         engine = IncrementalFastOD(
@@ -85,7 +83,6 @@ class TestDeltaSemantics:
         assert report.n_deleted == 0 and report.n_appended == 0
         assert not report.retraversed
         assert od_strings(engine.result) == before
-        engine.close()
 
     def test_delete_of_absent_row_raises_and_leaves_state(self):
         engine = IncrementalFastOD(
@@ -98,7 +95,6 @@ class TestDeltaSemantics:
         assert od_strings(engine.result) == before
         # the engine is still usable after the rejected batch
         engine.apply_delta(DeltaBatch.inserts([(3, 30)]))
-        engine.close()
 
     def test_delete_to_empty_and_regrow(self):
         engine = IncrementalFastOD(
@@ -110,7 +106,6 @@ class TestDeltaSemantics:
         assert report.n_rows == 0
         engine.apply_delta(DeltaBatch.inserts([(1, 10), (2, 20)]))
         assert engine.relation.n_rows == 2
-        engine.close()
 
     def test_reinsert_identical_row(self):
         rows = [(1, 10), (2, 20), (3, 5)]
@@ -122,7 +117,6 @@ class TestDeltaSemantics:
         assert report.n_deleted == 1 and report.n_appended == 1
         assert list(engine.relation.rows()) == [
             (1, 10), (3, 5), (2, 20)]
-        engine.close()
 
 
 class TestVerdictMaintenance:
@@ -134,7 +128,6 @@ class TestVerdictMaintenance:
         assert "{}: a ~ b" in grown.invalidated
         shrunk = engine.apply_delta(DeltaBatch.deletes([(3, 5)]))
         assert "{}: a ~ b" in shrunk.appeared
-        engine.close()
 
     def test_delete_repromotes_refuted_fd(self):
         engine = IncrementalFastOD(
@@ -143,7 +136,6 @@ class TestVerdictMaintenance:
         assert "{}: [] -> c1" not in od_strings(engine.result)
         report = engine.apply_delta(DeltaBatch.deletes([(3, 6)]))
         assert "{}: [] -> c1" in report.appeared
-        engine.close()
 
     def test_true_fds_survive_deletes_without_recheck(self):
         # superkey contexts stay superkeys when rows leave
@@ -154,7 +146,6 @@ class TestVerdictMaintenance:
         report = engine.apply_delta(DeltaBatch.deletes([(4, 5, 6)]))
         assert held <= set(od_strings(engine.result)) | set(
             report.invalidated)
-        engine.close()
 
 
 class TestOracleStreams:
@@ -165,7 +156,6 @@ class TestOracleStreams:
             make_relation(n_attrs, base), verify_with_oracle=True)
         for batch in batches:
             engine.apply_delta(batch)
-        engine.close()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_workers2_streams_byte_identical_to_serial(self, seed):
@@ -182,7 +172,6 @@ class TestOracleStreams:
             for batch in batches:
                 engine.apply_delta(batch)
                 history.append(od_strings(engine.result))
-            engine.close()
             histories.append(history)
         assert histories[0] == histories[1]
 
@@ -197,4 +186,3 @@ class TestOracleStreams:
             oracle.to_dict()["fds"]
         assert engine.result.to_dict()["ocds"] == \
             oracle.to_dict()["ocds"]
-        engine.close()

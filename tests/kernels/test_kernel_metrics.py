@@ -147,7 +147,6 @@ def test_incremental_engine_bills_the_configured_backend(
     appended = _calls_by_backend()
     engine.apply_delta(DeltaBatch.from_request(
         {"deletes": [list(relation.row(0))]}, relation.arity))
-    engine.close()
     after = _calls_by_backend()
     assert after["compiled"] == before["compiled"]
     assert before["reference"] < built["reference"] \

@@ -9,10 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.validation import (
-    is_compatible_in_classes,
-    is_constant_in_classes,
-)
+from repro.core.validation import is_compatible_in_classes
 from repro.datasets import make_dataset
 from repro.engine import ProductTask
 from repro.parallel.pool import WorkerPool
@@ -62,21 +59,6 @@ class TestPoolOperations:
             expected = is_compatible_in_classes(
                 encoded.column(a), encoded.column(b), parents[1 << a])
             assert verdict == expected
-
-    def test_class_scan_matches_serial(self, encoded):
-        context = StrippedPartition.for_attribute(encoded, 0)
-        with WorkerPool(2) as pool:
-            for mode, a, b in (("swap", 1, 2), ("const", 3, 0)):
-                verdict, timed_out = pool.run_class_scan(
-                    mode, a, b, context, encoded.ranks)
-                if mode == "swap":
-                    expected = is_compatible_in_classes(
-                        encoded.column(a), encoded.column(b), context)
-                else:
-                    expected = is_constant_in_classes(
-                        encoded.column(a), context)
-                assert not timed_out
-                assert verdict == expected
 
     def test_validations_match_serial(self, encoded):
         from repro.partitions.cache import PartitionCache

@@ -1,8 +1,8 @@
 """Concurrent service jobs on ONE injected WorkerPool == direct API.
 
-The service scheduler runs every job — discover, append, validate —
-on a single shared :class:`WorkerPool`; each dispatch brings its own
-relation.
+The service scheduler runs every discover job on a single shared
+:class:`WorkerPool`, each dispatch bringing its own relation; append
+and validate jobs run on the runner thread between them.
 This extends the serial-vs-parallel identity harness one level up:
 an *interleaved job stream* (discover A, append B, discover B,
 append A, ...) executed at ``workers=2`` through the scheduler must
@@ -116,21 +116,21 @@ class TestInterleavedJobsIdentity:
         oracle_v.append(batch_v)
         assert od_strings(a1.payload["result"]) == od_strings(
             oracle_v.result.to_dict())
-        oracle_v.close()
         # oracle 3: serial incremental append on flight
         oracle_f = IncrementalFastOD(flight.take(400),
                                      FastODConfig(workers=1))
         oracle_f.append(batch_f)
         assert od_strings(a2.payload["result"]) == od_strings(
             oracle_f.result.to_dict())
-        oracle_f.close()
         # and the appended content equals a from-scratch run on the
         # grown relation
         grown = flight.append_rows(batch_f)
         assert od_strings(a2.payload["result"]) == od_strings(
             direct_serial(grown))
 
-    def test_validate_jobs_share_the_pool(self, scheduler):
+    def test_validate_jobs_confirm_a_pooled_discovery(self, scheduler):
+        """Every FD a pooled discover job found validates True; the
+        validate jobs scan on the runner thread, never the pool."""
         relation = make_dataset("flight", n_rows=400, n_attrs=6,
                                 seed=11)
         fp = scheduler._catalog.register(relation).fingerprint
@@ -147,6 +147,8 @@ class TestInterleavedJobsIdentity:
             scheduler.wait(job.id, timeout=300)
             assert job.status == "done", job.error
             assert job.payload["report"]["holds"] is True
+            scans = job.executor_stats["phases"]["class-scan"]
+            assert scans["tasks"] == 1 and scans["pool_tasks"] == 0
         assert scheduler.stats()["pool_started"] is True
 
 

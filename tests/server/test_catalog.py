@@ -95,7 +95,7 @@ class TestAppendRekey:
         old_fp = entry.fingerprint
         engine = catalog.ensure_incremental(old_fp, FastODConfig())
         engine.append([(7, 7, 2)])
-        new_fp = catalog.rekey_after_append(entry)
+        new_fp = catalog.rekey_after_delta(entry)
         assert new_fp != old_fp
         assert new_fp == fingerprint(engine.relation)
         # old fingerprint forwards to the live entry
@@ -123,7 +123,7 @@ class TestAppendRekey:
         old_fp = entry.fingerprint
         engine = catalog.ensure_incremental(old_fp, FastODConfig())
         engine.append([(7, 7, 2)])
-        catalog.rekey_after_append(entry)
+        catalog.rekey_after_delta(entry)
         fresh = catalog.register(small())   # the original content again
         assert fresh is not entry
         assert catalog.get(old_fp) is fresh
@@ -139,7 +139,7 @@ class TestAppendRekey:
                                             FastODConfig())
         for _ in range(3):
             engine.append([(9, 4, 2)] * 4)      # grow b past budget
-            catalog.rekey_after_append(b)
+            catalog.rekey_after_delta(b)
         # the growing streaming entry pushed the total over budget;
         # the idle entry was evicted even though nothing registered
         assert a.fingerprint not in catalog
@@ -166,7 +166,7 @@ class TestAppendRekey:
         engine = catalog.ensure_incremental(
             entry.fingerprint, FastODConfig())
         engine.append([(9, 4, 2)])
-        new_fp = catalog.rekey_after_append(entry)
+        new_fp = catalog.rekey_after_delta(entry)
         fresh = make_relation(3, [(0, 0, 2), (1, 0, 2), (2, 0, 2),
                                   (3, 0, 2), (9, 4, 2)])
         assert fingerprint(fresh) == new_fp

@@ -195,13 +195,3 @@ class TestSchedulerDirect:
                 tmp_path, entry.root_fingerprint))
             assert records[0].batch.ops == [(1, (5, 50, 7))]
         catalog.close()
-
-    def test_rekey_after_append_alias_still_works(self):
-        catalog = DatasetCatalog()
-        entry = catalog.register(
-            Relation.from_rows(COLUMNS, [tuple(r) for r in ROWS]))
-        catalog.ensure_incremental(entry.fingerprint, FastODConfig())
-        entry.incremental.append([(5, 50, 7)])
-        new_fp = catalog.rekey_after_append(entry)
-        assert new_fp == fingerprint(entry.incremental.relation)
-        catalog.close()

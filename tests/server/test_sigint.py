@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
+import socketserver
 import subprocess
 import sys
 import time
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.relation.csvio import write_csv
 from repro.server.smoke import shm_segments
 from tests.conftest import make_relation
@@ -191,3 +194,19 @@ class TestServeSigterm:
         journal.close()
         assert fp in state.datasets
         assert state.crashed_jobs == []
+
+
+def test_sigterm_escapes_the_servers_request_dispatch():
+    """The server catches ``Exception`` while it hands a request to a
+    handler thread; a SIGTERM arriving there must still unwind
+    ``serve_forever``."""
+
+    class Server(socketserver.TCPServer):
+        def process_request(self, request, client_address):
+            raise cli._Terminated()
+
+    with Server(("127.0.0.1", 0), socketserver.BaseRequestHandler) \
+            as server:
+        with socket.create_connection(server.server_address, timeout=5):
+            with pytest.raises(cli._Terminated):
+                server.handle_request()

@@ -67,6 +67,19 @@ class TestBadConfig:
         assert "REPRO_WORKERS must be an integer" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", [
+        ["check", "{}: [] -> c0"], ["violations", "{}: [] -> c0"],
+        ["append"]])
+    def test_single_dependency_commands_take_no_workers(self, csv_file,
+                                                        command):
+        # their scans run on the calling thread; argparse rejects it
+        argv = [command[0], csv_file, *command[1:], "--workers", "2"]
+        if command[0] == "append":
+            argv.insert(2, csv_file)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
 
 class TestCheck:
     def test_holds(self, csv_file, capsys):

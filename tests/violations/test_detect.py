@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.od import CanonicalFD, CanonicalOCD
+from repro import kernels
+from repro.core.mapping import map_list_od
+from repro.core.od import CanonicalFD, CanonicalOCD, ListOD
+from repro.core.validation import (
+    CanonicalValidator,
+    Split,
+    Swap,
+    list_od_holds,
+)
+from repro.kernels import thresholds
+from repro.obs import metrics
 from repro.partitions.partition import StrippedPartition
 from repro.violations import (
     ViolationDetector,
@@ -129,12 +141,99 @@ class TestDetector:
     @settings(max_examples=60, deadline=None)
     @given(small_relations(max_cols=3, max_rows=8, max_domain=2))
     def test_holds_agrees_with_validator(self, relation):
-        from repro.core.validation import CanonicalValidator
+        """Detector, validator and the list-level oracle agree on FDs,
+        OCDs and list ODs, and every witness is a genuine split or swap
+        pair — under the stock scalar gates (these tiny inputs stay on
+        the scalar paths) and with the gates at 0 (every check reaches
+        the vectorized kernels)."""
+        for gates in ("stock", "zero"):
+            with pytest.MonkeyPatch.context() as patch:
+                if gates == "zero":
+                    patch.setattr(thresholds,
+                                  "REFERENCE_SCALAR_THRESHOLD", 0)
+                    patch.setattr(thresholds,
+                                  "COMPILED_SCALAR_THRESHOLD", 0)
+                self._check_agreement(relation)
 
+    @staticmethod
+    def _check_agreement(relation):
         detector = ViolationDetector(relation)
         validator = CanonicalValidator(relation)
+        encoded = relation.encode()
         names = list(relation.names)
+
+        def canonical(od):
+            report = detector.check(od, max_witnesses=3)
+            assert report.holds == validator.holds(od), od
+            assert report.holds == (not report.witnesses), od
+            assert_genuine(encoded, od, report.witnesses)
+            return report
+
         for attribute in names:
-            fd = CanonicalFD(
-                frozenset(n for n in names if n != attribute), attribute)
-            assert detector.check(fd).holds == validator.holds(fd)
+            others = [n for n in names if n != attribute]
+            for context in _subsets(others):
+                canonical(CanonicalFD(frozenset(context), attribute))
+        for left, right in itertools.combinations(names, 2):
+            others = [n for n in names if n not in (left, right)]
+            for context in _subsets(others):
+                canonical(CanonicalOCD(frozenset(context), left, right))
+        for lhs, rhs in itertools.permutations(
+                [[n] for n in names] + [names[:2]], 2):
+            od = ListOD(lhs, rhs)
+            report = detector.check(od, max_witnesses=3)
+            parts = map_list_od(od).all_ods
+            assert report.holds == list_od_holds(relation, od), od
+            assert report.holds == all(validator.holds(p) for p in parts)
+            assert report.holds == (not report.witnesses), od
+            for part, sub_report in zip(parts, report.parts):
+                assert sub_report.dependency == str(part)
+                assert_genuine(encoded, part, sub_report.witnesses)
+
+
+def _subsets(names):
+    return [combo for size in range(len(names) + 1)
+            for combo in itertools.combinations(names, size)]
+
+
+def assert_genuine(encoded, od, witnesses):
+    """Each witness is a real violating pair (Definitions 4 and 5)."""
+    column = {name: encoded.column(i)
+              for i, name in enumerate(encoded.names)}
+    for witness in witnesses:
+        s, t = witness.row_s, witness.row_t
+        for name in od.context:
+            assert column[name][s] == column[name][t], (od, witness)
+        if isinstance(od, CanonicalFD):
+            assert isinstance(witness, Split)
+            attr = column[od.attribute]
+            assert attr[s] != attr[t], (od, witness)
+        else:
+            assert isinstance(witness, Swap)
+            left, right = column[od.left], column[od.right]
+            assert left[s] < left[t] and right[t] < right[s], \
+                (od, witness)
+
+
+class TestOneKernelPassPerCheck:
+    """A held part costs one kernel pass, and a validate-style check
+    (``max_witnesses=0``) never collects witnesses.  200 rows in one
+    context class sit above the reference scalar gate."""
+
+    @staticmethod
+    def _calls(kernel):
+        return metrics.REGISTRY.value("repro_kernel_calls_total",
+                                      kernel=kernel, backend="reference")
+
+    def test_held_ocd_and_violated_fd(self):
+        relation = make_relation(
+            2, [(i % 50, 2 * (i % 50)) for i in range(200)])
+        detector = ViolationDetector(relation)
+        with kernels.activate("reference"):
+            before = self._calls("swap")
+            assert detector.check("{}: c0 ~ c1").holds
+            assert self._calls("swap") == before + 1
+            before = self._calls("split")
+            report = detector.check("{}: [] -> c0", max_witnesses=0,
+                                    count_pairs=False)
+            assert not report.holds and not report.witnesses
+            assert self._calls("split") == before + 1
